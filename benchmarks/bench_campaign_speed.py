@@ -7,11 +7,6 @@ and serial again against a warm result cache.  The three runs must agree
 bit-identically; the bench asserts that before reporting speed.
 """
 
-#: repro-all registry entries this bench corresponds to (empty = perf-only
-#: bench with no repro-all counterpart); asserted against
-#: repro.experiments.repro_all.REPRO_EXPERIMENTS by the test suite.
-EXPERIMENT_IDS = ()
-
 from __future__ import annotations
 
 import os

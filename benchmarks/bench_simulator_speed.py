@@ -2,14 +2,11 @@
 
 Not a paper experiment — this tracks the substrate's own speed so
 regressions in the hot path (the per-cycle router loop) are visible.
-Uses multiple pytest-benchmark rounds, unlike the one-shot experiment
-benches.
+Uses multiple pytest-benchmark rounds.  ``CONFIG`` and ``FULL_CONFIG``
+pin the object kernel (the comparison's reference leg and the canary's
+subject); the array kernel — the default users run — is reached through
+``.with_(backend="array")``.
 """
-
-#: repro-all registry entries this bench corresponds to (empty = perf-only
-#: bench with no repro-all counterpart); asserted against
-#: repro.experiments.repro_all.REPRO_EXPERIMENTS by the test suite.
-EXPERIMENT_IDS = ()
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
@@ -17,7 +14,7 @@ from repro.noc.simulator import run_simulation
 from repro.traffic.benchmarks import generate_benchmark_trace
 
 CONFIG = SimConfig(topology="mesh", radix=4, epoch_cycles=250,
-                   horizon_ns=1_000.0)
+                   horizon_ns=1_000.0, backend="object")
 TRACE = generate_benchmark_trace("bodytrack", num_cores=16,
                                  duration_ns=900.0)
 
@@ -135,12 +132,14 @@ def test_telemetry_overhead_bounded():
 
     from repro.telemetry import TelemetryRecorder
 
+    config = CONFIG.with_(backend="array")
+
     def run_off():
-        return run_simulation(CONFIG, TRACE, make_policy("dozznoc"))
+        return run_simulation(config, TRACE, make_policy("dozznoc"))
 
     def run_on():
         return run_simulation(
-            CONFIG, TRACE, make_policy("dozznoc"),
+            config, TRACE, make_policy("dozznoc"),
             telemetry=TelemetryRecorder(),
         )
 
@@ -168,7 +167,8 @@ def test_telemetry_overhead_bounded():
 #: idle tail, the regime the paper's power-gating story is about.  On this
 #: window the array kernel's gated-epoch fast path pays off most.
 FULL_CONFIG = SimConfig(topology="mesh", radix=4, epoch_cycles=250,
-                        horizon_ns=2_000.0)
+                        horizon_ns=2_000.0, backend="object")
+ARRAY_CONFIG = FULL_CONFIG.with_(backend="array")
 
 #: Policies whose object-kernel run is *kernel-bound*: no gating, so the
 #: object backend's own ``_heartbeat_skip`` idle-elision never engages and
@@ -180,25 +180,50 @@ FULL_CONFIG = SimConfig(topology="mesh", radix=4, epoch_cycles=250,
 KERNEL_BOUND_POLICIES = ("baseline",)
 
 
+def _kernel_of(config):
+    """The kernel class ``run_simulation`` actually builds for ``config``."""
+    from unittest import mock
+
+    from repro.noc.simulator import Simulator
+
+    built = []
+    init = Simulator.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(Simulator, "__init__", spy):
+        run_simulation(config, TRACE, make_policy("baseline"))
+    (name,) = built
+    return name
+
+
+def _assert_distinct_kernels():
+    """The comparison legs must run different kernels, not one twice."""
+    kernels = (_kernel_of(FULL_CONFIG), _kernel_of(ARRAY_CONFIG))
+    assert kernels == ("Simulator", "ArraySimulator"), (
+        f"object/array legs ran {kernels}; a comparison of one kernel "
+        "with itself is vacuous"
+    )
+
+
 def _bench_backend_case(policy_name, rounds):
     """Interleaved best-of-N wall-clock for one policy on both backends.
 
     Alternating object/array runs inside one process means a background
     load spike penalises both kernels instead of biasing the ratio.
-    Returns ``(best_object_s, best_array_s, summaries_equal)``.
+    Returns ``(best_object_s, best_array_s)``.
     """
     from time import perf_counter
-
-    array_config = FULL_CONFIG.with_(backend="array")
 
     def run_object():
         return run_simulation(FULL_CONFIG, TRACE, make_policy(policy_name))
 
     def run_array():
-        return run_simulation(array_config, TRACE, make_policy(policy_name))
+        return run_simulation(ARRAY_CONFIG, TRACE, make_policy(policy_name))
 
-    ref, got = run_object(), run_array()  # warm-up + equivalence probe
-    equal = ref.summary() == got.summary()
+    run_object(), run_array()  # warm-up
     best_obj = best_arr = float("inf")
     for _ in range(rounds):
         t0 = perf_counter()
@@ -207,7 +232,7 @@ def _bench_backend_case(policy_name, rounds):
         t0 = perf_counter()
         run_array()
         best_arr = min(best_arr, perf_counter() - t0)
-    return best_obj, best_arr, equal
+    return best_obj, best_arr
 
 
 def _router_cycles(config):
@@ -225,6 +250,26 @@ def _router_cycles(config):
     return n_routers * config.horizon_ns * top_ghz
 
 
+def test_backend_bit_identity():
+    """Both comparison legs run different kernels with identical results.
+
+    Checks that ``FULL_CONFIG`` really reaches the object kernel and
+    ``ARRAY_CONFIG`` the array kernel, then that both produce identical
+    ``summary()`` dicts under every policy (bit-identity smoke — the full
+    proof lives in the golden suite and the ``--differential-backend``
+    fuzz leg).  Timing-free, so it gates CI where the speed ratio cannot.
+    """
+    from repro.experiments.runner import MODEL_NAMES
+
+    _assert_distinct_kernels()
+    for policy_name in MODEL_NAMES:
+        ref = run_simulation(FULL_CONFIG, TRACE, make_policy(policy_name))
+        got = run_simulation(ARRAY_CONFIG, TRACE, make_policy(policy_name))
+        assert ref.summary() == got.summary(), (
+            f"object and array kernels diverged on policy {policy_name!r}"
+        )
+
+
 def test_backend_comparison_emits_kernel_json(report_dir, artifact_out):
     """Object-vs-array kernel comparison across all five policies.
 
@@ -232,12 +277,10 @@ def test_backend_comparison_emits_kernel_json(report_dir, artifact_out):
     x policy plus the speedup ratio) into the schema-versioned
     ``out/bench/`` slot shared with ``repro-all`` manifests, keeping an
     unwrapped compat copy at the legacy ``benchmarks/out/`` path for CI
-    upload, and asserts:
-
-    * both backends produce identical ``summary()`` dicts on every case
-      (bit-identity smoke — the full proof lives in the golden suite and
-      the ``--differential-backend`` fuzz leg), and
-    * the array kernel is >=3x faster on the kernel-bound baseline case.
+    upload, and asserts the array kernel is >=3x faster on the
+    kernel-bound baseline case.  Before timing it checks that the two
+    legs run different kernels; result equality is
+    :func:`test_backend_bit_identity`'s job.
     """
     import os
 
@@ -247,13 +290,11 @@ def test_backend_comparison_emits_kernel_json(report_dir, artifact_out):
     quick = os.environ.get("REPRO_BENCH_QUICK", "0") not in ("0", "", "false")
     rounds = 5 if quick else 9
 
+    _assert_distinct_kernels()
     cycles = _router_cycles(FULL_CONFIG)
     cases = {}
     for policy_name in MODEL_NAMES:
-        best_obj, best_arr, equal = _bench_backend_case(policy_name, rounds)
-        assert equal, (
-            f"object and array kernels diverged on policy {policy_name!r}"
-        )
+        best_obj, best_arr = _bench_backend_case(policy_name, rounds)
         cases[policy_name] = {
             "object_s": best_obj,
             "array_s": best_arr,
@@ -301,12 +342,16 @@ def test_backend_comparison_emits_kernel_json(report_dir, artifact_out):
 def test_object_backend_speed_canary():
     """Catastrophic-regression canary for the object kernel's hot loop.
 
+    ``CONFIG`` pins ``backend="object"``; without the pin this would time
+    the default array kernel instead.
+
     The hoisted ``_fire``/``_forward`` bindings must never be *undone*:
     best-of-7 on the 1000 ns case runs in ~0.07 s here, so a 2 s ceiling
     only trips on an order-of-magnitude regression, not machine noise.
     """
     from time import perf_counter
 
+    assert _kernel_of(CONFIG) == "Simulator"
     run_simulation(CONFIG, TRACE, make_policy("dozznoc"))  # warm-up
     best = float("inf")
     for _ in range(7):

@@ -138,6 +138,23 @@ def _config_digest_parts(config: SimConfig) -> str:
     return json.dumps(fields, sort_keys=True, default=repr)
 
 
+def content_key(config: SimConfig, *parts: str) -> str:
+    """Content address over the cache schema, code version and full config.
+
+    The one key recipe for everything cached beside a run: ``parts``
+    name the remaining inputs (policy, traces, weights, ...).  Hashing
+    the whole :func:`_config_digest_parts` digest means a new
+    :class:`SimConfig` field joins every key without a hand-kept list.
+    """
+    fields = [
+        f"schema={SCHEMA_VERSION}",
+        f"code={code_version()}",
+        f"config={_config_digest_parts(config)}",
+        *parts,
+    ]
+    return hashlib.sha256("\x1f".join(fields).encode()).hexdigest()[:24]
+
+
 def run_key(
     policy: str,
     trace: Trace,
@@ -161,19 +178,16 @@ def run_key(
     the policy mid-run, so online and frozen runs must never share an
     entry either.
     """
-    parts = [
-        f"schema={SCHEMA_VERSION}",
-        f"code={code_version()}",
+    return content_key(
+        config,
         f"policy={policy}",
         f"features={feature_set_name}:{','.join(feature_names)}",
-        f"config={_config_digest_parts(config)}",
         f"trace={trace_fingerprint(trace)}",
         f"weights={_weights_digest(weights)}",
         f"faults={'none' if faults is None else faults.fingerprint()}",
         f"model={'none' if model is None else model}",
         f"online={'none' if online is None else online.fingerprint()}",
-    ]
-    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
+    )
 
 
 def _metrics_to_payload(key: str, metrics: "ModelMetrics") -> dict:

@@ -1,9 +1,10 @@
 """Reproduction of the paper's figures and in-text results.
 
 Every function regenerates the data behind one figure (or a block of
-Section IV.B numbers) and returns a structured result the benches print.
-Simulation-backed figures take an :class:`EvalScale` so unit tests can run
-them in seconds while the benchmark harness uses paper-scale runs.
+Section IV.B numbers) and returns a structured result that ``repro-all``
+turns into a payload.  Simulation-backed figures take an
+:class:`EvalScale` so unit tests can run them in seconds while
+``repro-all --scale paper`` uses paper-scale runs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from repro.ml.training import collect_dataset
 from repro.regulator.efficiency import EfficiencyComparison, compare_efficiency
 from repro.regulator.ldo import LdoModel, LdoTransient
 from repro.traffic.suite import build_suite
+
+
+#: The named scales (the :class:`EvalScale` constructors repro-all runs).
+SCALE_NAMES = ("quick", "paper")
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ def fig6_efficiency(n_points: int = 41) -> EfficiencyComparison:
 
 
 # ---------------------------------------------------------------------- #
-# Figures 7 / 8 and the Section IV.B.2 numbers — full campaigns
+# Figures 7 / 8 — full campaigns
 # ---------------------------------------------------------------------- #
 
 
@@ -177,12 +182,6 @@ def fig8_throughput_energy(scale: EvalScale | None = None) -> Fig8Result:
         compressed=run_campaign(_campaign(scale, True)),
         uncompressed=run_campaign(_campaign(scale, False)),
     )
-
-
-def cmesh_results(scale: EvalScale | None = None) -> CampaignResult:
-    """Section IV.B.2 cmesh numbers (DozzNoC: 39 % static, 18 % dynamic)."""
-    scale = scale or EvalScale.cmesh()
-    return run_campaign(_campaign(scale, False))
 
 
 # ---------------------------------------------------------------------- #

@@ -140,13 +140,16 @@ def _html_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str
 def render_html_report(
     manifest: Mapping,
     tables: Mapping[str, tuple[Sequence[str], Sequence[Sequence[object]]]],
+    claims: Sequence[Mapping] = (),
 ) -> str:
     """One static HTML page over a repro-all manifest.
 
     ``tables`` maps experiment id to the same ``(headers, rows)`` pair
-    the CSV writer received.  The page is a pure function of its inputs:
-    no timestamps, durations, hostnames or tool versions — rendering the
-    same manifest twice yields identical bytes.
+    the CSV writer received; ``claims`` are the
+    :func:`~repro.experiments.claims.evaluate_claims` results.  The page
+    is a pure function of its inputs: no timestamps, durations,
+    hostnames or tool versions — rendering the same manifest twice
+    yields identical bytes.
     """
     exp = manifest["expectations"]
     status = exp.get("status", "skipped")
@@ -177,6 +180,19 @@ def render_html_report(
             ("experiment", "headline", "problem"),
             [(f["experiment"], f.get("headline", "-"), f["problem"])
              for f in failures],
+        ))
+    if claims:
+        failed = sum(1 for c in claims if c["status"] == "failed")
+        parts.append("<h2>Paper claims</h2>")
+        parts.append(
+            f'<p>status: <span class="{"fail" if failed else "ok"}">'
+            f'{"FAILED" if failed else "HELD"}</span> '
+            f'<span class="muted">({failed} of {len(claims)} failed)</span>'
+            "</p>"
+        )
+        parts.append(_html_table(
+            ("claim", "status", "statement", "note"),
+            [(c["id"], c["status"], c["text"], c["reason"]) for c in claims],
         ))
     for exp_id in sorted(manifest["experiments"]):
         entry = manifest["experiments"][exp_id]

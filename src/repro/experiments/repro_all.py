@@ -18,7 +18,10 @@ from disk, writes the schema-versioned ``out/`` tree (raw JSON + CSV +
 manifest + one static HTML report), and diffs every headline against the
 committed per-scale expectation files (``tests/expectations/*.json``).
 Any drift — a changed value, a headline without coverage, or an
-experiment without committed expectations — exits nonzero.
+experiment without committed expectations — exits nonzero.  So does any
+failed paper-shape claim (:mod:`repro.experiments.claims`), evaluated on
+the payloads after the diff; claim results reach the log, the report and
+:class:`ReproReport`, never the manifest.
 
 Determinism contract: the manifest and report are byte-for-byte
 functions of (scale, backend, seed, code); ``--jobs``, cache state and
@@ -53,15 +56,13 @@ from repro.experiments.campaign import (
     campaign_summary_payload,
     run_campaign,
 )
-from repro.experiments.figures import EvalScale
+from repro.experiments.claims import evaluate_claims
+from repro.experiments.figures import SCALE_NAMES, EvalScale
 from repro.experiments.report import csv_text, render_html_report
 from repro.experiments.runner import MODEL_NAMES
 
 #: Bump when the expectation-file shape changes.
 EXPECTATIONS_SCHEMA = 1
-
-#: The two supported evaluation scales.
-SCALE_NAMES = ("quick", "paper")
 
 _REGEN_HINT = (
     "if intentional, regenerate with `PYTHONPATH=src python -m "
@@ -907,6 +908,9 @@ class ReproReport:
     layout: ArtifactLayout
     cached: tuple[str, ...]
     computed: tuple[str, ...]
+    #: One :func:`~repro.experiments.claims.evaluate_claims` result per
+    #: claim; kept out of the manifest.
+    claims: tuple[dict, ...]
 
 
 def _payload_ok(payload: dict) -> bool:
@@ -924,9 +928,10 @@ def run_repro_all(
 ) -> ReproReport:
     """Produce the full reproduction artifact; see the module docstring.
 
-    Exit code 0 when the expectations diff is clean (or disabled),
-    1 on any drift.  The emitted tree is byte-deterministic: neither
-    ``jobs``, nor cache hit/miss state, nor wall-clock appears in it.
+    Exit code 0 when the expectations diff is clean (or disabled) and
+    no paper claim fails, 1 otherwise.  The emitted tree is
+    byte-deterministic: neither ``jobs``, nor cache hit/miss state, nor
+    wall-clock appears in it.
     """
     scale = resolve_scale(
         options.scale,
@@ -945,6 +950,7 @@ def run_repro_all(
 
     cached: list[str] = []
     computed: list[str] = []
+    payloads: dict[str, dict] = {}
     experiments: dict[str, dict] = {}
     files: dict[str, str] = {}
     csv_tables: dict[str, tuple] = {}
@@ -965,6 +971,7 @@ def run_repro_all(
         else:
             cached.append(entry.id)
             log(f"repro-all: {entry.id}: cached")
+        payloads[entry.id] = payload
         raw_path = write_json(
             layout.raw_path(entry.id),
             {
@@ -1010,14 +1017,26 @@ def run_repro_all(
         "expectations": expectations,
         "bench": layout.bench_artifacts(),
     }
+    claims = evaluate_claims(payloads, options.scale)
     write_json(layout.manifest_path, manifest)
-    layout.report_path.write_text(render_html_report(manifest, csv_tables))
+    layout.report_path.write_text(
+        render_html_report(manifest, csv_tables, claims)
+    )
 
     for failure in expectations["failures"]:
         log(
             f"repro-all: DRIFT {failure['experiment']}."
             f"{failure['headline']}: {failure['problem']}"
         )
+    failed = [c for c in claims if c["status"] == "failed"]
+    for claim in failed:
+        reason = f" ({claim['reason']})" if claim["reason"] else ""
+        log(f"repro-all: CLAIM FAILED {claim['id']}: {claim['text']}{reason}")
+    passed = sum(1 for c in claims if c["status"] == "passed")
+    log(
+        f"repro-all: claims: {passed} passed, {len(failed)} failed, "
+        f"{len(claims) - passed - len(failed)} skipped"
+    )
     log(
         f"repro-all: {len(entries)} experiment(s) "
         f"({len(cached)} from the experiment memo), expectations "
@@ -1025,11 +1044,12 @@ def run_repro_all(
         f"checked against {expectations['source']}) -> "
         f"{layout.manifest_path}"
     )
-    exit_code = 0 if expectations["status"] in ("clean", "skipped") else 1
+    clean = expectations["status"] in ("clean", "skipped")
     return ReproReport(
-        exit_code=exit_code,
+        exit_code=0 if clean and not failed else 1,
         manifest=manifest,
         layout=layout,
         cached=tuple(cached),
         computed=tuple(computed),
+        claims=tuple(claims),
     )

@@ -19,7 +19,6 @@ matching the paper's per-epoch-size training.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,23 +129,18 @@ def _cache_key(
     val_traces: list[Trace] | tuple[Trace, ...],
     lambdas: tuple[float, ...],
 ) -> str:
-    parts = [
-        policy_name,
-        feature_set.name,
-        ",".join(feature_set.names),
-        config.topology,
-        str(config.radix),
-        str(config.concentration),
-        str(config.buffer_depth),
-        str(config.epoch_cycles),
-        str(config.t_idle),
-        str(config.horizon_ns),
-        config.switching,
-        ",".join(_trace_fingerprint(t) for t in train_traces),
-        ",".join(_trace_fingerprint(t) for t in val_traces),
-        ",".join(f"{l:g}" for l in lambdas),
-    ]
-    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:20]
+    """Content address of one trained model (the run cache's recipe)."""
+    # Imported lazily: repro.exec's pool imports this module.
+    from repro.exec.cache import content_key
+
+    return content_key(
+        config,
+        f"policy={policy_name}",
+        f"features={feature_set.name}:{','.join(feature_set.names)}",
+        "train=" + ",".join(_trace_fingerprint(t) for t in train_traces),
+        "val=" + ",".join(_trace_fingerprint(t) for t in val_traces),
+        "lambdas=" + ",".join(repr(float(l)) for l in lambdas),
+    )
 
 
 def cached_train(

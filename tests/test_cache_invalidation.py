@@ -51,6 +51,24 @@ class TestCacheKey:
                        CFG.with_(switching="wormhole"), *traces, (0.1,))
         assert a != b
 
+    def test_key_covers_every_config_field(self):
+        """Fields a hand-kept list used to miss must split the key."""
+        traces = ([make_trace(0.0)], [make_trace(1.0)])
+        base = _cache_key("dozznoc", REDUCED_FEATURES, CFG, *traces, (0.1,))
+        for change in ({"request_flits": 2}, {"response_flits": 4},
+                       {"drain_margin": 3.0}, {"seed": 1}):
+            other = _cache_key("dozznoc", REDUCED_FEATURES,
+                               CFG.with_(**change), *traces, (0.1,))
+            assert other != base, change
+
+    def test_response_flits_gets_its_own_ridge_file(self, tmp_path):
+        """Configs differing only in response length never share weights."""
+        train, val = [make_trace(0.0)], [make_trace(1.0)]
+        cached_train("lead", train, val, CFG, cache_dir=tmp_path)
+        cached_train("lead", train, val, CFG.with_(response_flits=4),
+                     cache_dir=tmp_path)
+        assert len(list(tmp_path.glob("ridge-*.npz"))) == 2
+
     def test_retuned_traces_retrain(self, tmp_path):
         w1 = cached_train("lead", [make_trace(0.0)], [make_trace(1.0)], CFG,
                           cache_dir=tmp_path)

@@ -82,7 +82,7 @@ class TestPowerTable:
 
 class TestMlOverheadConstants:
     def test_5feature_cost_is_5mul_4add(self):
-        assert ML_LABEL_ENERGY_5FEAT_PJ == pytest.approx(5 * 1.1 + 4 * 0.4)
+        assert ML_LABEL_ENERGY_5FEAT_PJ == 5 * 1.1 + 4 * 0.4
         assert ML_LABEL_ENERGY_5FEAT_PJ == pytest.approx(7.1)
 
     def test_41feature_cost_from_paper(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.modes import VOLTAGES
 from repro.experiments.figures import (
     EvalScale,
     epoch_size_sweep,
@@ -10,6 +11,7 @@ from repro.experiments.figures import (
     fig6_efficiency,
     fig9_feature_accuracy,
 )
+from repro.regulator.efficiency import compare_efficiency
 
 
 class TestFig5:
@@ -28,8 +30,21 @@ class TestFig5:
         assert r.switch.v_from == 0.8
         assert r.switch.v_to == 1.2
 
+    def test_waveforms_rise_monotonically_from_exact_start(self):
+        r = fig5_waveforms()
+        assert np.all(np.diff(r.wakeup.v) >= -1e-12)
+        assert r.switch.v[0] == 0.8
+
 
 class TestFig6:
+    def test_discrete_levels_match_paper(self):
+        # At the five DVFS levels: SIMO above 87 % everywhere, ~15 % mean
+        # gain below 1.2 V, and the "almost 25 %" peak gain at 0.9 V.
+        discrete = compare_efficiency(VOLTAGES)
+        assert discrete.min_simo_efficiency > 0.87
+        assert abs(discrete.average_improvement_low_range - 0.15) < 0.03
+        assert abs(discrete.max_improvement - 0.235) < 0.03
+
     def test_sweep_resolution(self):
         r = fig6_efficiency(n_points=21)
         assert len(r.voltages) == 21

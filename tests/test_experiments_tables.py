@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.tables import (
     ALL_TABLES,
+    PAPER_TABLE3,
     table1,
     table2,
     table3,
@@ -45,6 +46,7 @@ class TestTable3:
             (1.1, 2.00, 14, 16, 11),
             (1.2, 2.25, 16, 18, 12),
         )
+        assert table3_simulator_constants() == PAPER_TABLE3
 
 
 class TestTable4:

@@ -11,15 +11,17 @@ fully memoized and byte-identical) and compare ``--jobs 1`` against
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.artifact import validate_manifest
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments import claims
+from repro.experiments.artifact import _MEMO_MODULES, validate_manifest
 from repro.experiments.repro_all import (
     REPRO_EXPERIMENTS,
+    SCALE_NAMES,
     EXPECTATIONS_SCHEMA,
     ReproOptions,
     diff_expectations,
@@ -167,38 +169,20 @@ class TestPerturbationSentinel:
 
 
 class TestRegistryAndSelection:
-    def test_covers_every_registry_experiment(self):
-        """repro-all must subsume the per-experiment bench registry."""
-        assert set(EXPERIMENTS) <= set(REPRO_EXPERIMENTS)
+    def test_every_paper_artifact_registered(self):
+        expected = {
+            "table1", "table2", "table3", "table4", "table5",
+            "fig5", "fig6", "fig7", "fig8", "fig9",
+            "cmesh", "epoch_sweep", "feature_ablation",
+        }
+        assert expected <= set(REPRO_EXPERIMENTS)
+        for exp_id in expected:
+            assert REPRO_EXPERIMENTS[exp_id].kind != "extension", exp_id
 
-    def test_every_bench_declares_valid_experiment_ids(self):
-        """Each bench links to the registry via EXPERIMENT_IDS.
-
-        Parsed statically (the bench files import their own conftest),
-        so this holds without running the benchmark harness.
-        """
-        import ast
-
-        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
-        declared = {}
-        for path in sorted(bench_dir.glob("bench_*.py")):
-            tree = ast.parse(path.read_text())
-            ids = None
-            for node in tree.body:
-                if (isinstance(node, ast.Assign)
-                        and any(getattr(t, "id", None) == "EXPERIMENT_IDS"
-                                for t in node.targets)):
-                    ids = ast.literal_eval(node.value)
-            assert ids is not None, (
-                f"{path.name} does not declare EXPERIMENT_IDS"
-            )
-            declared[path.name] = ids
-        for name, ids in declared.items():
-            unknown = set(ids) - set(REPRO_EXPERIMENTS)
-            assert not unknown, f"{name} links unknown experiments {unknown}"
-        # Every bench-backed experiment id is claimed by exactly one bench.
-        claimed = [i for ids in declared.values() for i in ids]
-        assert len(claimed) == len(set(claimed))
+    def test_extensions_marked(self):
+        for exp_id in ("tidle", "buffers", "ladder", "fabrics", "faults",
+                       "telemetry", "shadow_promotion"):
+            assert REPRO_EXPERIMENTS[exp_id].kind == "extension"
 
     def test_selection_is_sorted_and_validated(self):
         entries = select_entries(["tidle", "fig5", "tidle"])
@@ -206,6 +190,14 @@ class TestRegistryAndSelection:
         assert len(select_entries(None)) == len(REPRO_EXPERIMENTS)
         with pytest.raises(KeyError, match="nope"):
             select_entries(["nope"])
+
+    def test_list_is_sorted(self):
+        ids = [e.id for e in select_entries(None)]
+        assert ids == sorted(REPRO_EXPERIMENTS)
+
+    def test_lookup_errors_are_helpful(self):
+        with pytest.raises(KeyError, match="fig99.*choices"):
+            select_entries(["fig99"])
 
     def test_cli_wiring(self, tmp_path, capsys):
         rc = main([
@@ -217,6 +209,97 @@ class TestRegistryAndSelection:
         out = capsys.readouterr().out
         assert "table1: computed" in out
         assert "expectations clean" in out
+
+
+class TestClaims:
+    def test_ids_unique_and_reads_known(self):
+        ids = [c.id for c in claims.CLAIMS]
+        assert len(ids) == len(set(ids))
+        for claim in claims.CLAIMS:
+            assert claim.reads, claim.id
+            assert set(claim.reads) <= set(REPRO_EXPERIMENTS), claim.id
+            assert set(claim.scales) <= set(SCALE_NAMES), claim.id
+
+    def test_every_quick_claim_holds(self, e2e):
+        base, _, report = e2e
+        by_status = {}
+        for result in report.claims:
+            by_status.setdefault(result["status"], []).append(result["id"])
+        paper_only = sorted(
+            c.id for c in claims.CLAIMS if "quick" not in c.scales
+        )
+        assert "failed" not in by_status, by_status.get("failed")
+        assert sorted(by_status["skipped"]) == paper_only
+        assert len(by_status["passed"]) == len(claims.CLAIMS) - len(
+            paper_only
+        )
+        # Claims reach the report, never the hashed artifact tree.
+        assert "Paper claims" in (base / "out" / "report.html").read_text()
+        assert "table1.exact" not in (
+            base / "out" / "manifest.json"
+        ).read_text()
+
+    def test_broken_builder_fails_its_claim(self, tmp_path, monkeypatch):
+        entry = REPRO_EXPERIMENTS["table1"]
+
+        def broken(ctx):
+            payload = entry.build(ctx)
+            payload["headlines"]["max_abs_error"] = 0.5
+            return payload
+
+        monkeypatch.setitem(
+            REPRO_EXPERIMENTS, "table1", replace(entry, build=broken)
+        )
+        lines = []
+        report = run_repro_all(
+            ReproOptions(out_dir=tmp_path / "out", only=("table1",),
+                         expectations="none"),
+            log=lines.append,
+        )
+        assert report.exit_code == 1
+        assert report.manifest["expectations"]["status"] == "skipped"
+        assert any(
+            line.startswith("repro-all: CLAIM FAILED table1.exact: ")
+            for line in lines
+        )
+
+    def test_selection_skips_unread_claims(self, tmp_path):
+        report = run_repro_all(
+            ReproOptions(out_dir=tmp_path / "out", only=("table1",)),
+            log=lambda line: None,
+        )
+        assert report.exit_code == 0
+        status = {c["id"]: c["status"] for c in report.claims}
+        assert status.pop("table1.exact") == "passed"
+        assert set(status.values()) == {"skipped"}
+
+    def test_memo_replay_reevaluates_claims(self, tmp_path, monkeypatch):
+        # Editing claims.py must not invalidate the experiment memo.
+        assert claims.__name__ not in _MEMO_MODULES
+        options = ReproOptions(
+            cache_dir=tmp_path / "cache", out_dir=tmp_path / "out",
+            only=("table1",),
+        )
+        assert run_repro_all(options, log=lambda line: None).exit_code == 0
+        strict = claims.Claim(
+            "table1.strict", "an impossible bound", ("table1",),
+            lambda p: p["table1"]["headlines"]["max_abs_error"] < 0.0,
+        )
+        monkeypatch.setattr(claims, "CLAIMS", claims.CLAIMS + (strict,))
+        lines = []
+        rerun = run_repro_all(options, log=lines.append)
+        assert rerun.computed == ()
+        assert rerun.exit_code == 1
+        assert any("CLAIM FAILED table1.strict" in line for line in lines)
+
+    def test_raising_predicate_is_a_failure(self, monkeypatch):
+        monkeypatch.setattr(claims, "CLAIMS", (
+            claims.Claim("x.raises", "reads a missing key", ("x",),
+                         lambda p: p["x"]["headlines"]["nope"] > 0),
+        ))
+        (result,) = claims.evaluate_claims({"x": {"headlines": {}}}, "quick")
+        assert result["status"] == "failed"
+        assert result["reason"].startswith("KeyError")
 
 
 class TestExpectationsDiff:
