@@ -3,17 +3,17 @@
 ``dozznoc`` (or ``python -m repro``) exposes the library's main entry
 points without writing any Python:
 
-* ``dozznoc tables`` — regenerate Tables I-V and compare to the paper,
-* ``dozznoc figure fig5|fig6|fig7|fig8|fig9`` — regenerate a figure,
 * ``dozznoc run --policy dozznoc --benchmark canneal`` — one simulation,
 * ``dozznoc campaign [--compressed] [--cmesh]`` — the full evaluation,
 * ``dozznoc telemetry DIR [DIR2]`` — tabulate, diff or validate telemetry
   directories written by ``run``/``campaign`` ``--telemetry``,
 * ``dozznoc serve --store results.db`` — long-running HTTP/JSON service
   (submit runs/campaigns, poll progress, batched ``/predict``),
-* ``dozznoc repro-all`` — the push-button artifact: every table, figure
-  and extension into a versioned ``out/`` tree with an HTML report,
-  diffed against committed expectations (see ``docs/repro.md``),
+* ``dozznoc repro-all [--only ID ...]`` — the push-button artifact and
+  the one way to regenerate a paper table or figure: every table, figure
+  and extension (or the ``--only`` subset) into a versioned ``out/`` tree
+  with an HTML report, diffed against committed expectations and checked
+  against the paper's claims (see ``docs/repro.md``),
 * ``dozznoc list`` — available benchmarks, policies and experiments.
 """
 
@@ -21,55 +21,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.common.config import SimConfig
 from repro.core.controller import POLICIES, make_policy
-from repro.experiments.campaign import (
-    CampaignConfig,
-    campaign_run_cache,
-    run_campaign,
-)
-from repro.experiments.figures import (
-    EvalScale,
-    fig5_waveforms,
-    fig6_efficiency,
-    fig7_mode_distribution,
-    fig8_throughput_energy,
-    fig9_feature_accuracy,
-)
-from repro.experiments.report import format_distribution, format_table
+from repro.exec.cache import run_cache_for
+from repro.experiments.campaign import CampaignConfig, run_campaign
+from repro.experiments.report import format_table
 from repro.experiments.runner import MODEL_NAMES
-from repro.experiments.tables import ALL_TABLES
 from repro.noc.simulator import run_simulation
 from repro.traffic.benchmarks import BENCHMARKS, generate_benchmark_trace
 from repro.traffic.compression import compress_trace
-
-
-def _scale(args: argparse.Namespace) -> EvalScale:
-    from dataclasses import replace
-    from pathlib import Path
-
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None and Path(cache_dir).exists() \
-            and not Path(cache_dir).is_dir():
-        sys.exit(f"dozznoc: error: --cache-dir {cache_dir!r} is not a directory")
-    duration = getattr(args, "duration", None)
-    if getattr(args, "quick", False):
-        scale = EvalScale.quick()
-    elif getattr(args, "cmesh", False):
-        scale = EvalScale.cmesh()
-    else:
-        scale = EvalScale(duration_ns=duration if duration else 12_000.0)
-    if duration:
-        # An explicit --duration also scales the quick/cmesh profiles
-        # (the sharding chaos harness uses --quick --duration N workers).
-        scale = replace(scale, duration_ns=duration)
-    return replace(
-        scale,
-        jobs=getattr(args, "jobs", 1),
-        cache_dir=getattr(args, "cache_dir", None) or scale.cache_dir,
-        audit=getattr(args, "audit", False),
-    )
 
 
 def _model_cell(row: dict) -> str:
@@ -97,73 +59,6 @@ def _warn_undrained(result) -> None:
     for trace, model in undrained:
         print(f"  - trace {trace!r}, model {model!r}", file=sys.stderr)
     print(bar, file=sys.stderr)
-
-
-def _cmd_tables(args: argparse.Namespace) -> int:
-    for name, fn in ALL_TABLES.items():
-        cmp = fn()
-        print(f"\n{cmp.name}  (max |error| vs paper: {cmp.max_abs_error:.3g})")
-        rows = [list(r) for r in cmp.measured_rows]
-        headers = list(cmp.headers)
-        if len(headers) != len(rows[0]):
-            headers = [f"c{i}" for i in range(len(rows[0]))]
-        print(format_table(headers, rows))
-    return 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "fig5":
-        r = fig5_waveforms()
-        print(f"T-Wakeup (0->0.8V): {r.t_wakeup_ns:.2f} ns (paper: 8.5 ns)")
-        print(f"T-Switch (0.8->1.2V): {r.t_switch_ns:.2f} ns (paper: 6.9 ns)")
-    elif name == "fig6":
-        r = fig6_efficiency()
-        rows = [
-            (f"{v:.2f}", f"{b:.3f}", f"{s:.3f}", f"{(s - b):+.3f}")
-            for v, b, s in zip(r.voltages, r.baseline, r.simo)
-        ]
-        print(format_table(("Vout", "baseline", "SIMO", "gain"), rows))
-    elif name == "fig7":
-        dists = fig7_mode_distribution(_scale(args))
-        for model, per_bench in dists.items():
-            print(f"\n{model}:")
-            for bench, dist in per_bench.items():
-                print(f"  {bench:15s} {format_distribution(dist)}")
-    elif name == "fig8":
-        r = fig8_throughput_energy(_scale(args))
-        for label, campaign in (
-            ("compressed", r.compressed),
-            ("uncompressed", r.uncompressed),
-        ):
-            print(f"\nFig 8 ({label}):")
-            rows = [
-                (
-                    _model_cell(row),
-                    f"{row['static_savings_pct']:.1f}",
-                    f"{row['dynamic_savings_pct']:.1f}",
-                    f"{row['throughput_loss_pct']:.1f}",
-                    f"{row['latency_increase_pct']:.1f}",
-                )
-                for row in campaign.summary_rows()
-            ]
-            print(
-                format_table(
-                    ("model", "static sav %", "dyn sav %", "thr loss %", "lat +%"),
-                    rows,
-                )
-            )
-            _warn_undrained(campaign)
-    elif name == "fig9":
-        rows = [
-            (fa.feature, f"{fa.average:.2f}")
-            for fa in fig9_feature_accuracy(_scale(args))
-        ]
-        print(format_table(("feature", "mode-selection accuracy"), rows))
-    else:
-        print(f"unknown figure {name!r}", file=sys.stderr)
-        return 2
-    return 0
 
 
 def _registry(args: argparse.Namespace):
@@ -362,7 +257,11 @@ def _lease_config(args: argparse.Namespace):
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    scale = _scale(args)
+    cache_dir = args.cache_dir
+    if cache_dir and Path(cache_dir).exists() and not Path(cache_dir).is_dir():
+        sys.exit(
+            f"dozznoc: error: --cache-dir {cache_dir!r} is not a directory"
+        )
     if (args.model or args.shadow) and not args.registry:
         sys.exit("dozznoc: error: --model/--shadow require --registry DIR")
     models = MODEL_NAMES
@@ -376,20 +275,28 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "dozznoc: error: --worker and --shard-coordinator are "
             "mutually exclusive"
         )
-    if (args.worker or args.shard_coordinator) and not scale.cache_dir:
+    if (args.worker or args.shard_coordinator) and not cache_dir:
         sys.exit(
             "dozznoc: error: --worker/--shard-coordinator require "
             "--cache-dir DIR (the shared journal lives there)"
         )
+
+    from repro.experiments.repro_all import cmesh_sim, resolve_scale
+
+    # repro-all's scale profiles (--cmesh: the matching cmesh); an
+    # explicit --duration overrides either one, as the shard-chaos
+    # harness's `--quick --duration N` workers rely on.
+    profile = "quick" if args.quick else "paper"
+    scale = resolve_scale(profile)
     campaign = CampaignConfig(
-        sim=scale.sim,
-        duration_ns=scale.duration_ns,
+        sim=cmesh_sim(profile) if args.cmesh else scale.sim,
+        duration_ns=args.duration or scale.duration_ns,
         compressed=args.compressed,
         seed=args.seed,
         models=models,
-        cache_dir=scale.cache_dir,
-        jobs=scale.jobs,
-        audit=scale.audit,
+        cache_dir=cache_dir,
+        jobs=args.jobs,
+        audit=args.audit,
         telemetry_dir=args.telemetry,
         registry_dir=args.registry,
         registry_models=tuple(args.model or ()),
@@ -427,7 +334,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         shard_report = coordinated.report
         cache = None
     else:
-        cache = campaign_run_cache(campaign)
+        cache = run_cache_for(campaign.cache_dir)
         result = run_campaign(campaign, cache=cache)
         if args.summary_out:
             from repro.experiments.campaign import write_campaign_summary
@@ -481,7 +388,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"summary: {args.summary_out}")
     if args.telemetry:
         from repro.telemetry.diff import CAMPAIGN_SUMMARY
-        from pathlib import Path
 
         print(f"telemetry: {Path(args.telemetry) / CAMPAIGN_SUMMARY}")
     if result.promotion is not None:
@@ -751,8 +657,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
     print("benchmarks:", ", ".join(sorted(BENCHMARKS)))
     print("policies:  ", ", ".join(sorted(POLICIES)))
-    print("tables:    ", ", ".join(sorted(ALL_TABLES)))
-    print("figures:   ", "fig5, fig6, fig7, fig8, fig9")
     print("repro-all: ", ", ".join(sorted(REPRO_EXPERIMENTS)))
     return 0
 
@@ -785,24 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dozznoc", description="DozzNoC reproduction toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("tables", help="regenerate Tables I-V").set_defaults(
-        fn=_cmd_tables
-    )
-
-    p_fig = sub.add_parser("figure", help="regenerate one figure")
-    p_fig.add_argument("name", choices=["fig5", "fig6", "fig7", "fig8", "fig9"])
-    p_fig.add_argument("--quick", action="store_true", help="small fast profile")
-    p_fig.add_argument("--duration", type=float, default=None,
-                       help="trace duration in ns (default 12000; also "
-                            "overrides the --quick profile's duration)")
-    p_fig.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (1=serial, 0=all CPUs)")
-    p_fig.add_argument("--cache-dir", default=None,
-                       help="cache trained weights and simulation results")
-    p_fig.add_argument("--audit", action="store_true",
-                       help="run invariant audits on every simulation")
-    p_fig.set_defaults(fn=_cmd_figure, cmesh=False)
 
     p_run = sub.add_parser("run", help="run one policy on one benchmark")
     p_run.add_argument("--policy", choices=sorted(POLICIES), default="dozznoc")

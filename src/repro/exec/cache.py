@@ -343,3 +343,12 @@ class RunCache:
             "misses": self.misses,
             "discarded": self.discarded,
         }
+
+
+def run_cache_for(cache_dir: str | Path | None) -> RunCache | None:
+    """The run cache inside one cache directory (None when uncached).
+
+    The single spelling of the ``<cache_dir>/runs`` layout, so campaigns,
+    sweeps, sharded workers and the serve queue all share one cache.
+    """
+    return None if cache_dir is None else RunCache(Path(cache_dir) / "runs")

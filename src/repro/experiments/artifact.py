@@ -26,7 +26,7 @@ The module also provides:
 * :class:`ExperimentMemo` — an experiment-level result cache layered on
   top of the run-level :class:`repro.exec.cache.RunCache`.  It memoizes
   one experiment's entire raw payload keyed by (artifact schema, code
-  version, experiment id, scale fingerprint), so a second ``repro-all``
+  version, experiment id, scale inputs), so a second ``repro-all``
   over the same ``--cache-dir`` replays every experiment from disk
   without simulating — including the sweeps whose inner loops are not
   individually run-cached.  Entries embed their own key and are
@@ -45,6 +45,10 @@ import importlib
 import json
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.experiments.figures import EvalScale
 
 #: Bump when the artifact layout or manifest shape changes.
 ARTIFACT_SCHEMA = 1
@@ -68,6 +72,7 @@ _MANIFEST_REQUIRED = (
 #: of :func:`repro.exec.cache.code_version` (which already covers the
 #: kernel, policies, power model, faults and traces).
 _MEMO_MODULES: tuple[str, ...] = (
+    "repro.exec.pool",
     "repro.experiments.campaign",
     "repro.experiments.figures",
     "repro.experiments.repro_all",
@@ -229,15 +234,26 @@ def memo_code_version() -> str:
     return h.hexdigest()[:16]
 
 
-def memo_key(exp_id: str, scale_fingerprint: str) -> str:
-    """Content address of one experiment's payload at one scale."""
-    parts = (
-        f"schema={ARTIFACT_SCHEMA}",
-        f"code={memo_code_version()}",
+def memo_key(exp_id: str, scale_name: str, scale: EvalScale) -> str:
+    """Content address of one experiment's payload at one scale.
+
+    Derived like every other cache key, through
+    :func:`repro.exec.cache.content_key` over the scale's full
+    :class:`~repro.common.config.SimConfig`; the scale's other inputs
+    (duration, seed) and :func:`memo_code_version` are the parts.
+    ``jobs`` and ``cache_dir`` are left out: they never change a payload.
+    """
+    from repro.exec.cache import content_key
+
+    return content_key(
+        scale.sim,
+        f"artifact={ARTIFACT_SCHEMA}",
+        f"memo_code={memo_code_version()}",
         f"experiment={exp_id}",
-        f"scale={scale_fingerprint}",
+        f"scale={scale_name}",
+        f"duration_ns={scale.duration_ns!r}",
+        f"seed={scale.seed}",
     )
-    return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()[:24]
 
 
 class ExperimentMemo:

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.common.config import SimConfig
 from repro.core.features import REDUCED_FEATURES, FeatureSet
-from repro.exec.cache import RunCache
+from repro.exec.cache import RunCache, run_cache_for
 from repro.exec.journal import CampaignJournal
 from repro.exec.pool import (
     PoolHealth,
@@ -227,13 +227,6 @@ def train_ml_models(
         for model in models
     ]
     return dict(zip(models, run_train_tasks(tasks, jobs=jobs)))
-
-
-def campaign_run_cache(campaign: CampaignConfig) -> RunCache | None:
-    """The simulation-result cache a campaign's config implies."""
-    if campaign.cache_dir is None:
-        return None
-    return RunCache(Path(campaign.cache_dir) / "runs")
 
 
 def campaign_journal(campaign: CampaignConfig) -> CampaignJournal | None:
@@ -603,7 +596,7 @@ def run_campaign(
     """
     jobs = campaign.jobs if jobs is None else jobs
     if cache is None:
-        cache = campaign_run_cache(campaign)
+        cache = run_cache_for(campaign.cache_dir)
     journal = campaign_journal(campaign)
 
     recorder = None

@@ -9,7 +9,7 @@ turns into a payload.  Simulation-backed figures take an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from repro.core.features import (
     SINGLE_FEATURE_CANDIDATES,
     single_feature_set,
 )
+from repro.exec.cache import run_cache_for
 from repro.exec.pool import (
     SimTask,
     TrainTask,
@@ -33,6 +34,7 @@ from repro.experiments.campaign import (
     CampaignResult,
     run_campaign,
 )
+from repro.experiments.runner import ModelMetrics, normalize_to_baseline
 from repro.ml.metrics import mode_selection_accuracy
 from repro.ml.ridge import fit_ridge
 from repro.ml.training import collect_dataset
@@ -60,8 +62,6 @@ class EvalScale:
     seed: int = 0
     cache_dir: str | Path | None = None
     jobs: int = 1
-    #: Attach invariant auditors (repro.validate) to campaign runs.
-    audit: bool = False
 
     @classmethod
     def paper(cls, cache_dir: str | Path | None = None) -> "EvalScale":
@@ -75,20 +75,6 @@ class EvalScale:
             duration_ns=2_500.0,
             cache_dir=cache_dir,
         )
-
-    @classmethod
-    def cmesh(cls, cache_dir: str | Path | None = None) -> "EvalScale":
-        return cls(sim=SimConfig.paper_cmesh(), duration_ns=12_000.0,
-                   cache_dir=cache_dir)
-
-
-def _scale_run_cache(scale: EvalScale):
-    """The run-level cache a scale implies (None when uncached)."""
-    if scale.cache_dir is None:
-        return None
-    from repro.exec.cache import RunCache
-
-    return RunCache(Path(scale.cache_dir) / "runs")
 
 
 # ---------------------------------------------------------------------- #
@@ -131,57 +117,25 @@ def fig6_efficiency(n_points: int = 41) -> EfficiencyComparison:
 
 
 # ---------------------------------------------------------------------- #
-# Figures 7 / 8 — full campaigns
+# Figure 7 — DVFS mode distribution
 # ---------------------------------------------------------------------- #
 
 
-def _campaign(scale: EvalScale, compressed: bool) -> CampaignConfig:
-    return CampaignConfig(
-        sim=scale.sim,
-        duration_ns=scale.duration_ns,
-        compressed=compressed,
-        seed=scale.seed,
-        cache_dir=scale.cache_dir,
-        jobs=scale.jobs,
-        audit=scale.audit,
-    )
-
-
 def fig7_mode_distribution(
-    scale: EvalScale | None = None,
-    campaign_result: CampaignResult | None = None,
+    campaign_result: CampaignResult,
 ) -> dict[str, dict[str, dict[int, float]]]:
     """Fig 7: per-benchmark DVFS mode breakdown for the three ML models.
 
-    Returns ``model -> benchmark -> {mode: fraction}``, computed on the
-    uncompressed test traces (the figure's setting).
+    Returns ``model -> benchmark -> {mode: fraction}`` from one campaign
+    (repro-all passes the uncompressed one, the figure's setting).
     """
-    if campaign_result is None:
-        campaign_result = run_campaign(_campaign(scale or EvalScale(), False))
-    out: dict[str, dict[str, dict[int, float]]] = {}
-    for model in ("dozznoc", "lead", "turbo"):
-        out[model] = {
+    return {
+        model: {
             trace: campaign_result.metrics[trace][model].mode_distribution
             for trace in campaign_result.metrics
         }
-    return out
-
-
-@dataclass(frozen=True)
-class Fig8Result:
-    """Fig 8: throughput + normalized energy, compressed and uncompressed."""
-
-    compressed: CampaignResult
-    uncompressed: CampaignResult
-
-
-def fig8_throughput_energy(scale: EvalScale | None = None) -> Fig8Result:
-    """Fig 8(a-c): the headline evaluation on the mesh."""
-    scale = scale or EvalScale()
-    return Fig8Result(
-        compressed=run_campaign(_campaign(scale, True)),
-        uncompressed=run_campaign(_campaign(scale, False)),
-    )
+        for model in ("dozznoc", "lead", "turbo")
+    }
 
 
 # ---------------------------------------------------------------------- #
@@ -295,11 +249,20 @@ class TIdlePoint:
     wake_events: float
 
 
+@dataclass(frozen=True)
+class TIdleSweep:
+    """One T-Idle sweep: its trace, its baseline run, a point per threshold."""
+
+    benchmark: str
+    baseline: ModelMetrics
+    points: list[TIdlePoint]
+
+
 def t_idle_sweep(
     scale: EvalScale | None = None,
     t_idles: tuple[int, ...] = (2, 4, 8, 16, 64),
     benchmark_index: int = 1,
-) -> list[TIdlePoint]:
+) -> TIdleSweep:
     """Ablate the T-Idle gating threshold (Section III.B's design choice).
 
     The paper argues T-Idle = 4 balances two failure modes: a small T-Idle
@@ -314,8 +277,6 @@ def t_idle_sweep(
         seed=scale.seed,
     )
     trace = suite.test[benchmark_index]
-    from repro.experiments.runner import normalize_to_baseline
-
     tasks = [SimTask(policy="baseline", trace=trace, sim=scale.sim)] + [
         SimTask(
             policy="dozznoc", trace=trace, sim=scale.sim.with_(t_idle=t_idle)
@@ -323,7 +284,7 @@ def t_idle_sweep(
         for t_idle in t_idles
     ]
     base, *rest = run_sim_tasks(
-        tasks, jobs=scale.jobs, cache=_scale_run_cache(scale)
+        tasks, jobs=scale.jobs, cache=run_cache_for(scale.cache_dir)
     )
     points = []
     for t_idle, metrics in zip(t_idles, rest):
@@ -338,7 +299,7 @@ def t_idle_sweep(
                 wake_events=metrics.wake_events,
             )
         )
-    return points
+    return TIdleSweep(benchmark=trace.name, baseline=base, points=points)
 
 
 @dataclass(frozen=True)
@@ -371,15 +332,13 @@ def buffer_depth_sweep(
         seed=scale.seed,
     )
     trace = suite.test[benchmark_index]
-    from repro.experiments.runner import normalize_to_baseline
-
     tasks = []
     for depth in depths:
         sim = scale.sim.with_(buffer_depth=depth)
         tasks.append(SimTask(policy="baseline", trace=trace, sim=sim))
         tasks.append(SimTask(policy="dozznoc", trace=trace, sim=sim))
     results = run_sim_tasks(
-        tasks, jobs=scale.jobs, cache=_scale_run_cache(scale)
+        tasks, jobs=scale.jobs, cache=run_cache_for(scale.cache_dir)
     )
     points = []
     for depth, base, metrics in zip(depths, results[::2], results[1::2]):
@@ -432,7 +391,6 @@ def mode_ladder_ablation(
     )
     trace = suite.test[benchmark_index]
     from repro.core.controller import make_policy
-    from repro.experiments.runner import ModelMetrics, normalize_to_baseline
     from repro.noc.simulator import run_simulation
 
     base = ModelMetrics.from_result(

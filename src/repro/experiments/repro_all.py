@@ -125,15 +125,6 @@ def fabric_sims(scale_name: str, backend: str = "array") -> dict[str, SimConfig]
     }
 
 
-def scale_fingerprint(scale_name: str, scale: EvalScale) -> str:
-    """The memo-key component identifying one (scale, backend, seed).
-
-    Scale *profile* constants (mesh radix, epoch size, duration) are
-    covered by the memo code version, which hashes this module's source.
-    """
-    return f"{scale_name}|backend={scale.sim.backend}|seed={scale.seed}"
-
-
 @dataclass
 class ReproContext:
     """Shared state handed to every experiment builder."""
@@ -141,14 +132,6 @@ class ReproContext:
     scale_name: str
     scale: EvalScale
     _campaigns: dict = field(default_factory=dict)
-
-    def run_cache(self):
-        """The run-level cache implied by the scale (None when uncached)."""
-        if self.scale.cache_dir is None:
-            return None
-        from repro.exec.cache import RunCache
-
-        return RunCache(Path(self.scale.cache_dir) / "runs")
 
     def campaign(
         self,
@@ -252,9 +235,7 @@ def _build_fig6(ctx: ReproContext) -> dict:
 
 
 def _build_fig7(ctx: ReproContext) -> dict:
-    dist = figures.fig7_mode_distribution(
-        ctx.scale, campaign_result=ctx.campaign()
-    )
+    dist = figures.fig7_mode_distribution(ctx.campaign())
     rows = []
     headlines = {}
     for model in sorted(dist):
@@ -438,31 +419,17 @@ def _build_feature_ablation(ctx: ReproContext) -> dict:
 
 
 def _build_tidle(ctx: ReproContext) -> dict:
-    from repro.exec.pool import SimTask, run_sim_tasks
-    from repro.traffic.suite import build_suite
-
-    points = figures.t_idle_sweep(ctx.scale)
+    sweep = figures.t_idle_sweep(ctx.scale)
+    points = sweep.points
     headlines = {}
     for p in points:
         headlines[f"static_savings_t{p.t_idle}"] = float(p.static_savings)
         headlines[f"wake_events_t{p.t_idle}"] = float(p.wake_events)
     # One raw (un-normalized) energy headline: the normalized savings
     # above are ratios, where a uniform power-model perturbation cancels
-    # to within rounding — the sweep's own baseline run (a cache hit when
-    # a cache_dir is set, since t_idle_sweep just ran it) re-anchors the
+    # to within rounding — the sweep's own baseline run re-anchors the
     # expectations diff to absolute picojoules.
-    suite = build_suite(
-        num_cores=ctx.scale.sim.num_cores,
-        duration_ns=ctx.scale.duration_ns,
-        seed=ctx.scale.seed,
-    )
-    trace = suite.test[1]  # t_idle_sweep's default benchmark_index
-    (base,) = run_sim_tasks(
-        [SimTask(policy="baseline", trace=trace, sim=ctx.scale.sim)],
-        jobs=1,
-        cache=ctx.run_cache(),
-    )
-    headlines["baseline_static_pj"] = float(base.static_pj)
+    headlines["baseline_static_pj"] = float(sweep.baseline.static_pj)
     return {
         "headlines": headlines,
         "table": {
@@ -474,7 +441,7 @@ def _build_tidle(ctx: ReproContext) -> dict:
                 for p in points
             ],
         },
-        "data": {"benchmark": trace.name},
+        "data": {"benchmark": sweep.benchmark},
     }
 
 
@@ -946,7 +913,6 @@ def run_repro_all(
         None if options.cache_dir is None
         else ExperimentMemo(options.cache_dir)
     )
-    fingerprint = scale_fingerprint(options.scale, scale)
 
     cached: list[str] = []
     computed: list[str] = []
@@ -955,7 +921,7 @@ def run_repro_all(
     files: dict[str, str] = {}
     csv_tables: dict[str, tuple] = {}
     for entry in entries:
-        key = memo_key(entry.id, fingerprint)
+        key = memo_key(entry.id, options.scale, scale)
         payload = memo.get(key) if memo is not None else None
         if payload is not None and not _payload_ok(payload):
             payload = None

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.exec.cache import RunCache
+from repro.exec.cache import run_cache_for
 from repro.exec.pool import PoolHealth, execute_sim_task
 from repro.exec.shard import (
     LeaseConfig,
@@ -43,7 +43,6 @@ from repro.experiments.campaign import (
     CampaignConfig,
     CampaignResult,
     assemble_campaign_result,
-    campaign_run_cache,
     finalize_campaign_telemetry,
     prepare_campaign,
     write_campaign_summary,
@@ -75,7 +74,7 @@ def run_campaign_worker(
     ``kill_after_claims`` is the chaos-harness hook (the process
     SIGKILLs itself after that many successful claims).
     """
-    cache = campaign_run_cache(campaign)
+    cache = run_cache_for(campaign.cache_dir)
     if cache is None:
         raise ValueError("sharded execution requires cache_dir")
     plan = prepare_campaign(campaign, jobs=1)
@@ -159,7 +158,7 @@ def coordinate_campaign(
     ``campaign-summary.json``.  ``summary_out`` writes the deterministic
     summary artifact whose bytes match a serial run's.
     """
-    cache = campaign_run_cache(campaign)
+    cache = run_cache_for(campaign.cache_dir)
     if cache is None:
         raise ValueError("sharded execution requires cache_dir")
     journal_path = _journal_path(campaign)

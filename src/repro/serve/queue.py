@@ -32,13 +32,9 @@ import uuid
 from repro.common.config import SimConfig
 from repro.common.errors import ReproError
 from repro.core.controller import POLICIES
-from repro.exec.cache import RunCache
+from repro.exec.cache import run_cache_for
 from repro.exec.pool import PoolHealth, SimTask, run_sim_tasks
-from repro.experiments.campaign import (
-    CampaignConfig,
-    campaign_run_cache,
-    run_campaign,
-)
+from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.experiments.runner import MODEL_NAMES
 from repro.serve.store import ServeStore
 from repro.traffic.benchmarks import BENCHMARKS, generate_benchmark_trace
@@ -214,10 +210,10 @@ class JobQueue:
     store:
         Results store; every state transition lands here.
     cache_dir:
-        Optional shared cache directory.  Single runs use
-        ``<cache_dir>/runs`` (the same layout ``campaign_run_cache``
-        derives), so runs, served campaigns and CLI campaigns all share
-        one content-addressed cache.
+        Optional shared cache directory.  Single runs use its run cache
+        (:func:`repro.exec.cache.run_cache_for`, like every other layer),
+        so runs, served campaigns and CLI campaigns all share one
+        content-addressed cache.
     workers:
         Worker-thread count.  Each worker executes one job at a time;
         campaign-internal parallelism is the job's own ``jobs`` field.
@@ -237,9 +233,7 @@ class JobQueue:
         self.store = store
         self.cache_dir = cache_dir
         self.task_timeout = task_timeout
-        self.run_cache = (
-            None if cache_dir is None else RunCache(f"{cache_dir}/runs")
-        )
+        self.run_cache = run_cache_for(cache_dir)
         self._queue: queue.Queue = queue.Queue()
         self._closed = False
         self._stopping = False
@@ -431,7 +425,7 @@ class JobQueue:
         else:
             result = run_campaign(
                 campaign,
-                cache=campaign_run_cache(campaign),
+                cache=run_cache_for(campaign.cache_dir),
                 progress=self._progress("campaign", job_id),
                 health=health,
             )

@@ -17,8 +17,30 @@ def scale():
 
 class TestTIdleSweep:
     @pytest.fixture(scope="class")
-    def points(self):
+    def sweep(self):
         return t_idle_sweep(EvalScale.quick(), t_idles=(2, 4, 32))
+
+    @pytest.fixture(scope="class")
+    def points(self, sweep):
+        return sweep.points
+
+    def test_hands_back_its_baseline(self, sweep):
+        # The baseline every point is normalized against: a reactive
+        # baseline run of the sweep's own trace, default sim.
+        from repro.exec.pool import SimTask, run_sim_tasks
+        from repro.traffic.suite import build_suite
+
+        scale = EvalScale.quick()
+        trace = build_suite(
+            num_cores=scale.sim.num_cores, duration_ns=scale.duration_ns,
+            seed=scale.seed,
+        ).test[1]
+        assert sweep.benchmark == trace.name
+        (base,) = run_sim_tasks(
+            [SimTask(policy="baseline", trace=trace, sim=scale.sim)]
+        )
+        assert sweep.baseline == base
+        assert sweep.baseline.static_pj > 0
 
     def test_point_order(self, points):
         assert [p.t_idle for p in points] == [2, 4, 32]

@@ -10,6 +10,7 @@ resume/determinism guarantees of ``repro-all`` checkable at all.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.experiments.artifact import (
     write_bench_artifact,
     write_json,
 )
+from repro.experiments.figures import EvalScale
 from repro.experiments.report import (
     csv_text,
     format_cell,
@@ -162,7 +164,10 @@ class TestCanonicalJson:
 class TestExperimentMemo:
     def test_put_get_round_trip(self, tmp_path):
         memo = ExperimentMemo(tmp_path)
-        key = memo_key("exp", "quick|backend=object|seed=0")
+        scale = EvalScale.quick()
+        key = memo_key("exp", "quick", replace(
+            scale, sim=scale.sim.with_(backend="object")
+        ))
         assert memo.get(key) is None
         memo.put(key, {"headlines": {"x": 1.5}})
         assert memo.get(key) == {"headlines": {"x": 1.5}}
@@ -170,16 +175,32 @@ class TestExperimentMemo:
 
     def test_corrupt_entry_is_discarded(self, tmp_path):
         memo = ExperimentMemo(tmp_path)
-        key = memo_key("exp", "fp")
+        key = memo_key("exp", "quick", EvalScale.quick())
         memo.put(key, {"a": 1})
         path = next((tmp_path / "experiments").glob("*.json"))
         path.write_text("{not json")
         assert ExperimentMemo(tmp_path).get(key) is None
 
     def test_key_depends_on_id_and_fingerprint(self):
-        base = memo_key("exp", "fp")
-        assert memo_key("exp2", "fp") != base
-        assert memo_key("exp", "fp2") != base
+        scale = EvalScale.quick()
+        base = memo_key("exp", "quick", scale)
+        assert memo_key("exp", "quick", EvalScale.quick()) == base
+        assert memo_key("exp2", "quick", scale) != base
+        assert memo_key("exp", "paper", scale) != base
+        # Every scale input that can change a payload changes the key:
+        # any SimConfig field (backend, radix, ...), duration and seed.
+        for changed in (
+            replace(scale, sim=scale.sim.with_(backend="object")),
+            replace(scale, sim=scale.sim.with_(radix=5)),
+            replace(scale, sim=scale.sim.with_(response_flits=4)),
+            replace(scale, duration_ns=scale.duration_ns + 1),
+            replace(scale, seed=scale.seed + 1),
+        ):
+            assert memo_key("exp", "quick", changed) != base, changed
+        # Execution knobs never change a payload, so never the key.
+        assert memo_key(
+            "exp", "quick", replace(scale, jobs=4, cache_dir="elsewhere")
+        ) == base
 
 
 class TestBenchArtifacts:

@@ -13,8 +13,9 @@ import dataclasses
 
 import pytest
 
+from repro.exec.cache import run_cache_for
 from repro.exec.pool import run_sim_tasks
-from repro.experiments.campaign import campaign_run_cache, run_campaign
+from repro.experiments.campaign import run_campaign
 from repro.serve import ServeApp, ServeConfig, TestClient, canonical_json
 from repro.serve.queue import build_campaign_config, build_run_task
 
@@ -56,7 +57,7 @@ class TestCampaignDeterminism:
         campaign = build_campaign_config(
             CAMPAIGN_REQ, str(tmp_path / "cache")
         )
-        result = run_campaign(campaign, cache=campaign_run_cache(campaign))
+        result = run_campaign(campaign, cache=run_cache_for(campaign.cache_dir))
         assert served == canonical_json(result.summary_rows())
 
     def test_resubmission_is_byte_identical_and_cached(self, app):
