@@ -18,20 +18,19 @@ list indexing.  NumPy is used where access is bulk, not scalar (lane
 export via :meth:`ArraySimulator.lanes`, consumed by the invariant
 cross-checks in the test suite).  See ``docs/backends.md``.
 
-**Span skipping (the gated-epoch fast path).**  The object kernel already
-batch-elides provably silent heartbeats of gated routers
-(``_heartbeat_skip``).  This kernel generalizes the idea to every router
-state: after a live cycle it proves, from the lanes, that the *next* k
-cycles cannot observably differ from no-ops — no arrival commits, no
-transfer or ejection can be granted, no injection comes due, no epoch
-boundary or gating threshold is crossed — and elides them by returning
-``1 + k`` periods from ``_fire`` exactly as the heartbeat path does.
-The proof rests on a frozen-state argument: between a router's live
-cycles its FIFOs, reservations, round-robin pointers and output-busy
-ticks cannot change except through *another* router's live cycle, and
-every such cross-router mutation site interrupts the target's span
-(rolling back elided cycles that per-step execution would not have run,
-with the same ``(tick, rid)`` heap-order tie-break as ``_expedite``).
+**Span skipping.**  The object kernel is the per-step reference: it
+fires every router cycle.  This kernel owns all cycle elision: after a
+live cycle it proves, from the lanes, that the *next* k cycles cannot
+observably differ from no-ops — no arrival commits, no transfer or
+ejection can be granted, no injection comes due, no epoch boundary or
+gating threshold is crossed — and schedules the router's next live fire
+``1 + k`` periods out.  A gated router's silent heartbeats are one more
+span kind.  The proof rests on a frozen-state argument: between a
+router's live cycles its FIFOs, reservations, round-robin pointers and
+output-busy ticks cannot change except through *another* router's live
+cycle, and every such cross-router mutation site interrupts the
+target's span (rolling back elided cycles that per-step execution would
+not have run, with a ``(tick, rid)`` heap-order tie-break).
 
 Elided cycles would only have bumped a handful of per-epoch counters, so
 their credits are folded in lazily — at the next live cycle, at an
@@ -42,11 +41,13 @@ object kernel would have executed (including ``m`` sequential float
 additions into ``occ_sum``, which is *not* equivalent to adding
 ``m * f`` once).
 
-Spans are disabled when a timeline sampler observes every fire, and when
-the active feature set can read *neighbour* state mid-epoch (the
-neighbour lanes of ``full-41`` would see a spanning router's lazily
-deferred counters); the reduced-5 set reads only a router's own state at
-its own live epoch boundary, where every credit has been folded.
+Elision has one precondition, derived from the run's inputs: no
+timeline sampler observes every fire, and the policy extracts either no
+features or only Table IV features.  Any other feature (``full-41``'s
+``neighbor_ibu_*``, say) may read *another* router's counters mid-epoch,
+where a spanning router's credits are still deferred; a Table IV feature
+reads only its own router at its own live epoch boundary, where every
+credit has been folded.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from repro.core.features import REDUCED_FEATURES
 from repro.core.modes import MODES
 from repro.core.states import PowerState
 from repro.noc.packet import Packet
-from repro.noc.router import Router
+from repro.noc.router import GATED_HEARTBEAT_TICKS, Router
 from repro.noc.simulator import SimResult, Simulator
 from repro.noc.topology import LOCAL
 from repro.power.dsent import dynamic_energy_pj
@@ -74,12 +75,36 @@ _INACTIVE = PowerState.INACTIVE
 #: HELD: gating policy, every elided cycle fails R-Idle (idle_count
 #: pinned at zero).  WAKE: WAKEUP countdown cycles.  STALL: T-Switch
 #: stall cycles (transport, injection and gating are all skipped; only
-#: the stall countdown and occupancy accounting tick).
+#: the stall countdown and occupancy accounting tick).  GATED: silent
+#: heartbeats of a power-gated router (only the off-cycle and epoch
+#: counters tick).
 _SPAN_PLAIN = 0
 _SPAN_IDLE = 1
 _SPAN_HELD = 2
 _SPAN_WAKE = 3
 _SPAN_STALL = 4
+_SPAN_GATED = 5
+
+
+def _silent_cycles(t_ns: float, tick: int, period: int, k: int) -> int:
+    """Largest ``j <= k`` such that an injection due at ``t_ns`` is still
+    in the future at every fire ``tick + i * period``, ``1 <= i <= j``.
+
+    Replicates :meth:`Router.inject_pending`'s float comparison
+    bit-for-bit, so the fire that finds the injection due runs live at
+    precisely the per-step tick.
+    """
+    base = BASE_TICKS_PER_NS
+    j = int((t_ns * base - tick) / period)
+    if j > k:
+        j = k
+    elif j < 0:
+        j = 0
+    while j > 0 and t_ns <= (tick + j * period) / base:
+        j -= 1
+    while j < k and t_ns > (tick + (j + 1) * period) / base:
+        j += 1
+    return j
 
 
 class ArraySimulator(Simulator):
@@ -89,6 +114,9 @@ class ArraySimulator(Simulator):
         super().__init__(*args, **kwargs)
         n = self.network.topology.num_routers
         ports = self.network.num_ports
+        # Heap-order tie-break for span interrupts: the rid of the router
+        # whose live cycle is executing.
+        self._firing_rid = -1
         # Scheduler lanes (see module docstring).
         self._occ_total = [0] * n  # resident flits per router
         self._res_total = [0] * n  # outstanding reservations per router
@@ -127,13 +155,11 @@ class ArraySimulator(Simulator):
         # Dynamic hop energy per rail voltage — a pure function of the
         # five mode voltages, precomputed off the hot path.
         self._dyn_e = {m.voltage: dynamic_energy_pj(m.voltage) for m in MODES}
-        # Spans share _heartbeat_skip's preconditions (timeline samplers
-        # observe every fire) and additionally require that feature
-        # extraction never reads a *neighbour* mid-epoch: the reduced-5
-        # set reads only the boundary router's own folded state.
-        self._span_ok = self._allow_skip and (
+        # The one elision precondition (see the module docstring).
+        self._span_ok = self.timeline is None and (
             not self._needs_features
-            or self.policy.feature_set.name == REDUCED_FEATURES.name
+            or set(self.policy.feature_set.names)
+            <= set(REDUCED_FEATURES.names)
         )
 
     def lanes(self) -> dict:
@@ -149,7 +175,9 @@ class ArraySimulator(Simulator):
             "occ_total": np.asarray(self._occ_total),
             "res_total": np.asarray(self._res_total),
             "busy_max": np.asarray(self._busy_max),
-            "want": np.asarray(self._want).reshape(-1, self._num_ports),
+            "want": np.asarray(self._want).reshape(
+                -1, self.network.num_ports
+            ),
         }
 
     # ------------------------------------------------------------------ #
@@ -167,7 +195,9 @@ class ArraySimulator(Simulator):
             return
         router.epoch_cycle += kept
         kind = self._span_kind[router.rid]
-        if kind == _SPAN_IDLE:
+        if kind == _SPAN_GATED:
+            router.total_off_cycles += kept
+        elif kind == _SPAN_IDLE:
             router.idle_count += kept
             router.epoch_idle_cycles += kept
         elif kind == _SPAN_WAKE:
@@ -192,11 +222,11 @@ class ArraySimulator(Simulator):
         it can observe (arrival, reservation, secure, freed space, a
         neighbour waking or finishing a V/F stall).
 
-        Mirrors :meth:`Simulator._expedite`: elided cycles strictly after
-        ``now`` are discarded (per-step execution would have run them
-        against the new state), and a cycle landing exactly ``now`` only
-        stays elided if its ``(tick, rid)`` heap entry would have popped
-        *before* the currently firing router's.
+        Elided cycles strictly after ``now`` are discarded (per-step
+        execution would have run them against the new state), and a
+        cycle landing exactly ``now`` only stays elided if its
+        ``(tick, rid)`` heap entry would have popped *before* the
+        currently firing router's; otherwise the router refires now.
         """
         rid = router.rid
         cur = router.next_event_tick
@@ -224,9 +254,11 @@ class ArraySimulator(Simulator):
     def _rollback_spans(self, final_tick: int, drain_rid: int | None) -> None:
         """End-of-run folding of still-open spans.
 
-        The twin of :meth:`Simulator._rollback_future_skips`, with the
-        same drain-order tie-break, but expressed as "fold only the kept
-        cycles" since span credits are lazy rather than eager.
+        Folds only the elided cycles per-step execution would have run
+        before the stop.  ``drain_rid`` is the router whose fire drained
+        the network, or ``None`` for a horizon/cap stop; on a drain stop
+        an elided cycle landing exactly on the final tick only ran if
+        its ``(tick, rid)`` heap entry popped before the draining fire.
         """
         for router in self.network.routers:
             rid = router.rid
@@ -258,6 +290,34 @@ class ArraySimulator(Simulator):
             if in_span[feeder_rid] and span_block[feeder_rid] >> fport & 1:
                 self._interrupt_span(routers[feeder_rid], tick)
 
+    def _gated_span(self, router: Router, tick: int) -> int:
+        """Elide the silent heartbeats of a gated router.
+
+        A heartbeat only observes wake conditions.  No arrival or hold
+        can reach a gated router except through ``secure()``, which
+        wakes it and interrupts the span, so the heartbeats stay silent
+        until an injection comes due.  The epoch-boundary heartbeat
+        stays live.
+        """
+        hb = GATED_HEARTBEAT_TICKS
+        k = self.epoch_cycles - router.epoch_cycle - 1
+        c = (self._cap_tick - tick) // hb
+        if c < k:
+            k = c
+        q = router.inject_queue
+        pos = router.inject_pos
+        if k > 0 and pos < len(q):
+            k = _silent_cycles(q[pos][0], tick, hb, k)
+        if k <= 0:
+            return 0
+        rid = router.rid
+        self._in_span[rid] = True
+        self._span_kind[rid] = _SPAN_GATED
+        self._span_k[rid] = k
+        self._span_period[rid] = hb
+        self._span_block[rid] = 0
+        return k
+
     def _wake_span(self, router: Router, tick: int) -> int:
         """Elide WAKEUP countdown cycles (the completing cycle stays
         live: it flips the state and must notify blocked neighbours)."""
@@ -286,17 +346,13 @@ class ArraySimulator(Simulator):
     # Overridden mutation sites (lane maintenance + span interrupts)
     # ------------------------------------------------------------------ #
 
-    def _wake_router(self, router: Router) -> None:
-        """A secure() hold just landed on a gated router: wake it
-        (identical to the object kernel's INACTIVE branch of secure)."""
-        self.settle(router)
-        router.begin_wakeup()
-        if self._faults is not None:
-            self._apply_wakeup_faults(router)
-        self.accountant.add_wake_event(router.rid, router.mode)
-        if self._telemetry is not None:
-            self._telemetry.on_wake_begin(router.rid, self.now_tick)
-        self._expedite(router)
+    def _wake_secured(self, router: Router) -> None:
+        """Wake a secured gated router, first ending its heartbeat span
+        at ``now`` (the reference kernel's pull-back then applies to
+        the heartbeat grid the interrupt left behind)."""
+        if self._in_span[router.rid]:
+            self._interrupt_span(router, self.now_tick)
+        super()._wake_secured(router)
 
     def _flush_hop_shadow(self) -> None:
         """Fold the add_hop shadow accumulators into the accountant."""
@@ -316,7 +372,7 @@ class ArraySimulator(Simulator):
         router.secure_count += 1
         self.secures_placed += 1
         if router.state is _INACTIVE:
-            self._wake_router(router)
+            self._wake_secured(router)
         elif (
             self._in_span[router.rid]
             and self._span_kind[router.rid] == _SPAN_IDLE
@@ -335,7 +391,7 @@ class ArraySimulator(Simulator):
         block is a faithful transcription of the corresponding object
         kernel method — ``_fire``, ``_commit_arrivals``, ``_eject``,
         ``_forward``, ``_inject`` — plus lane maintenance, span
-        interrupts, and span eligibility.  Two bitmasks link the
+        interrupts, and span placement.  Two bitmasks link the
         transport scan to span eligibility so the latter need not
         re-scan the FIFOs: ``blocked`` marks output ports whose
         round-robin-first wanting head was head-of-line blocked on
@@ -347,14 +403,16 @@ class ArraySimulator(Simulator):
         net = self.network
         routers = net.routers
         core_router = net.core_router
-        route_tab = self._route_tab
-        links = self._links
-        nbr_port = self._nbr_port
+        route_tab = net.route_port
+        links = net.links
+        nbr_port = net.neighbor_port
         feed_rid = self._feed_rid
         feed_port = self._feed_port
-        ports = self._num_ports
-        mc = self._min_cells
-        cell_cap = self._cell_cap
+        ports = net.num_ports
+        # Bubble flow control (torus/ring): the fabric's min-free-cells
+        # table (None on mesh/cmesh) and the per-buffer cell capacity.
+        mc = net.min_cells
+        cell_cap = net.cell_capacity
         occ_total = self._occ_total
         res_total = self._res_total
         busy_max = self._busy_max
@@ -366,31 +424,31 @@ class ArraySimulator(Simulator):
         span_f = self._span_f
         span_block = self._span_block
         span_ok = self._span_ok
+        fold = self._fold_span
         dyn_acc = self._dyn_acc
         hops_acc = self._hops_acc
         dyn_e = self._dyn_e
         epoch_cycles = self.epoch_cycles
         t_idle = self.t_idle
-        uses_gating = self._uses_gating
-        allow_skip = self._allow_skip
+        uses_gating = self.policy.uses_gating
         wormhole = self.wormhole
-        req_flits = self._req_flits
-        resp_flits = self._resp_flits
+        req_flits = self.config.request_flits
+        resp_flits = self.config.response_flits
         horizon = self.horizon_tick
         cap = self._cap_tick
         timeline = self.timeline
         stats = self.stats
         record_delivery = stats.record_delivery
-        add_wake_event = self.accountant.add_wake_event
         fault_links = self._fault_links
         faults = self._faults
         telemetry = self._telemetry
         interrupt = self._interrupt_span
         notify = self._notify_neighbors
         wake_span = self._wake_span
-        wake_router = self._wake_router
+        gated_span = self._gated_span
+        wake = self._wake
+        wake_secured = self._wake_secured
         boundary = self._epoch_boundary
-        hb_skip = self._heartbeat_skip
         heappop = heapq.heappop
         heappush = heapq.heappush
         base = BASE_TICKS_PER_NS
@@ -416,32 +474,10 @@ class ArraySimulator(Simulator):
             now_ns = tick / base
 
             # --- consume the open span: this live cycle ends it, so
-            # every elided cycle is in the past — fold all its credits
-            # (inlined _fold_span).
+            # every elided cycle is in the past — fold all its credits.
             if in_span[rid]:
                 in_span[rid] = False
-                kept = span_k[rid]
-                router.epoch_cycle += kept
-                kind = span_kind[rid]
-                if kind == _SPAN_IDLE:
-                    router.idle_count += kept
-                    router.epoch_idle_cycles += kept
-                elif kind == _SPAN_WAKE:
-                    if router.wake_stuck:
-                        router.watchdog_remaining -= kept
-                    else:
-                        router.wakeup_remaining -= kept
-                else:  # PLAIN / HELD / STALL
-                    f = span_f[rid]
-                    if f:
-                        s = router.occ_sum
-                        for _ in range(kept):
-                            s += f
-                        router.occ_sum = s
-                    if kind == _SPAN_HELD:
-                        router.idle_count = 0
-                    elif kind == _SPAN_STALL:
-                        router.switch_stall -= kept
+                fold(router, span_k[rid])
 
             self._firing_rid = rid
             # Inlined settle (Simulator._fire prologue).
@@ -500,7 +536,7 @@ class ArraySimulator(Simulator):
                             if nbr.state is inactive:
                                 self.now_tick = tick
                                 self.now_ns = now_ns
-                                wake_router(nbr)
+                                wake_secured(nbr)
                             else:
                                 nrid = nbr.rid
                                 if (
@@ -769,7 +805,7 @@ class ArraySimulator(Simulator):
                                     if nbr.state is inactive:
                                         self.now_tick = tick
                                         self.now_ns = now_ns
-                                        wake_router(nbr)
+                                        wake_secured(nbr)
                                     else:
                                         nrid = nbr.rid
                                         if (
@@ -829,19 +865,10 @@ class ArraySimulator(Simulator):
                     or router.arrivals
                     or (pos < len(q) and q[pos][0] <= now_ns)
                 ):
-                    router.begin_wakeup()
-                    if faults is not None:
-                        self._apply_wakeup_faults(router)
-                    add_wake_event(rid, router.mode)
-                    if telemetry is not None:
-                        telemetry.on_wake_begin(rid, tick)
-                    router.epoch_cycle += 1
-                else:
-                    router.epoch_cycle += 1
-                    if allow_skip:
-                        c = epoch_cycles - router.epoch_cycle - 1
-                        if c > 0:
-                            mult += hb_skip(router, tick, c)
+                    self.now_tick = tick
+                    self.now_ns = now_ns
+                    wake(router)
+                router.epoch_cycle += 1
 
             else:  # WAKEUP (inlined _fire WAKEUP branch + notify)
                 if router.wake_stuck:
@@ -871,7 +898,7 @@ class ArraySimulator(Simulator):
                 boundary(router)
 
             # --- span eligibility: prove the next k cycles silent ----
-            if mult == 1 and span_ok:
+            if span_ok:
                 state = router.state
                 if state is active:
                     if router.switch_stall:
@@ -1058,32 +1085,9 @@ class ArraySimulator(Simulator):
                                             # (live) pops.
                                             inj_blocked = True
                                     elif fits:
-                                        # Largest j with the entry still
-                                        # in the future at tick+j*period,
-                                        # replicating inject_pending's
-                                        # float comparison bit-for-bit
-                                        # (cf. _heartbeat_skip).
-                                        j = int(
-                                            (t_ns * base - tick) / period
+                                        k = _silent_cycles(
+                                            t_ns, tick, period, k
                                         )
-                                        if j > k:
-                                            j = k
-                                        elif j < 0:
-                                            j = 0
-                                        while (
-                                            j > 0
-                                            and t_ns
-                                            <= (tick + j * period) / base
-                                        ):
-                                            j -= 1
-                                        while (
-                                            j < k
-                                            and t_ns
-                                            > (tick + (j + 1) * period)
-                                            / base
-                                        ):
-                                            j += 1
-                                        k = j
                                     # else: due later but already over
                                     # capacity -- it cannot inject before
                                     # one of our own pops, and every pop
@@ -1137,6 +1141,8 @@ class ArraySimulator(Simulator):
                                         mult += k
                 elif state is wakeup:
                     mult += wake_span(router, tick)
+                else:
+                    mult += gated_span(router, tick)
 
             if timeline is not None:
                 self.now_tick = tick
@@ -1161,8 +1167,6 @@ class ArraySimulator(Simulator):
             drained = self.packets_live == 0 and self.entries_remaining == 0
         self.now_tick = final_tick
         self.now_ns = final_tick / BASE_TICKS_PER_NS
-        if allow_skip and uses_gating:
-            self._rollback_future_skips(final_tick, drain_rid)
         if span_ok:
             self._rollback_spans(final_tick, drain_rid)
         self._flush_hop_shadow()

@@ -49,11 +49,6 @@ class InputBuffer:
         """Flit slots available for new reservations."""
         return self.capacity - self.occupancy - self.reserved
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no packet is resident (reservations may be pending)."""
-        return not self.queue
-
     def can_accept(self, length: int) -> bool:
         """Whether a packet of ``length`` flits can be reserved now."""
         return self.free >= length
@@ -84,10 +79,6 @@ class InputBuffer:
         ``occupancy`` counter, so an auditor can cross-check the two.
         """
         return sum(p.length for p in self.queue)
-
-    def head(self) -> Packet | None:
-        """The packet at the FIFO head, or ``None``."""
-        return self.queue[0] if self.queue else None
 
     def pop(self) -> Packet:
         """Remove and return the head packet (its flits and cell leave)."""

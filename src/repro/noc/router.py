@@ -181,10 +181,6 @@ class Router:
         q, i = self.inject_queue, self.inject_pos
         return i < len(q) and q[i][0] <= now_ns
 
-    def has_future_injections(self) -> bool:
-        """Whether any trace entries remain for this router's cores."""
-        return self.inject_pos < len(self.inject_queue)
-
     def is_idle(self, now_ns: float, now_tick: int) -> bool:
         """R-Idle (Section III.B): empty, unsecured, nothing in flight or due.
 

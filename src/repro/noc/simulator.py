@@ -4,8 +4,14 @@ Each router is a clocked agent firing at its own period (its current V/F
 mode, or a slow heartbeat while power-gated).  Timestamps are integer base
 ticks of 1/18 ns, so all five paper frequencies beat exactly (see
 :mod:`repro.common.units`).  A binary heap orders router firings; stale
-heap entries (left behind when a router is expedited, e.g. woken by a
-secure signal) are skipped via the ``next_event_tick`` guard.
+heap entries (left behind when a secure signal wakes a gated router and
+pulls its next firing in) are skipped via the ``next_event_tick`` guard.
+
+This is the *reference* kernel: every firing is one router cycle and
+advances exactly one period, and transport goes through the model's own
+:class:`~repro.noc.router.Router` / :class:`~repro.noc.buffer.InputBuffer`
+methods.  All cycle elision lives in the array kernel
+(:mod:`repro.noc.array_sim`), which is held bit-identical to this one.
 
 One router cycle performs, in order:
 
@@ -42,14 +48,13 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a core<->noc import cycle
     from repro.core.controller import PowerPolicy
 from repro.noc.network import Network
 from repro.noc.packet import Packet
-from repro.noc.router import GATED_HEARTBEAT_TICKS, Router
+from repro.noc.router import Router
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import LOCAL, NUM_PORTS
 from repro.power.accounting import EnergyAccountant
 from repro.regulator.reliability import SAFE_MODE_INDEX, abort_stall_cycles
 from repro.traffic.trace import KIND_REQUEST, Trace
 
-_ACTIVE = PowerState.ACTIVE
 _WAKEUP = PowerState.WAKEUP
 _INACTIVE = PowerState.INACTIVE
 
@@ -170,7 +175,6 @@ class Simulator:
         self.packets_live = 0
         self._pid = 0
         self._arr_seq = 0
-        self._firing_rid = -1
         # Look-ahead securing ledger: holds placed vs released over the
         # whole run (audited for symmetry at drain by repro.validate).
         self.secures_placed = 0
@@ -229,24 +233,6 @@ class Simulator:
             for r in self.network.routers:
                 r.track_ports = True
 
-        # Hot-path constants hoisted out of the per-cycle loop.
-        self._uses_gating = policy.uses_gating
-        self._req_flits = config.request_flits
-        self._resp_flits = config.response_flits
-        self._links = self.network.links
-        self._nbr_port = self.network.neighbor_port
-        self._route_tab = self.network.route_port
-        self._num_ports = self.network.num_ports
-        # Bubble flow control (torus/ring): the fabric's min-free-cells
-        # table (None on mesh/cmesh — the grant path then never reads
-        # cells) and the per-buffer packet-cell capacity.
-        self._min_cells = self.network.min_cells
-        self._cell_cap = self.network.cell_capacity
-        # Batched heartbeat skipping for gated routers is exact (it only
-        # elides fires that are provably no-ops) but a timeline sampler
-        # observes every fire, so it forces per-step execution.
-        self._allow_skip = timeline is None
-
         if config.horizon_ns is not None:
             self.horizon_tick: int | None = ns_to_ticks(config.horizon_ns)
         else:
@@ -304,14 +290,31 @@ class Simulator:
         router.secure_count += 1
         self.secures_placed += 1
         if router.state is _INACTIVE:
-            self.settle(router)
-            router.begin_wakeup()
-            if self._faults is not None:
-                self._apply_wakeup_faults(router)
-            self.accountant.add_wake_event(router.rid, router.mode)
-            if self._telemetry is not None:
-                self._telemetry.on_wake_begin(router.rid, self.now_tick)
-            self._expedite(router)
+            self._wake_secured(router)
+
+    def _wake_secured(self, router: Router) -> None:
+        """A hold landed on a gated router: wake it now.
+
+        Its next firing sits on the gated-heartbeat grid; a waking router
+        clocks at its mode period, so pull that firing in to one period
+        from now when that is earlier.  A heartbeat due this very tick
+        pops after the securing router and runs in WAKEUP state.
+        """
+        self._wake(router)
+        nxt = self.now_tick + router.cur_period
+        if nxt < router.next_event_tick:
+            router.next_event_tick = nxt
+            heapq.heappush(self._heap, (nxt, router.rid))
+
+    def _wake(self, router: Router) -> None:
+        """INACTIVE -> WAKEUP, subject to the fault schedule."""
+        self.settle(router)
+        router.begin_wakeup()
+        if self._faults is not None:
+            self._apply_wakeup_faults(router)
+        self.accountant.add_wake_event(router.rid, router.mode)
+        if self._telemetry is not None:
+            self._telemetry.on_wake_begin(router.rid, self.now_tick)
 
     def unsecure(self, router: Router) -> None:
         """Release a downstream hold."""
@@ -385,84 +388,6 @@ class Simulator:
                 router.switch_stall,
             )
 
-    def _expedite(self, router: Router) -> None:
-        """Reschedule a woken router's next firing.
-
-        The router was INACTIVE, so its scheduled firing sits on the
-        gated-heartbeat grid — possibly several heartbeats out when silent
-        fires were batch-skipped (:meth:`_heartbeat_skip`).  Restore
-        per-step semantics exactly:
-
-        * un-credit skipped heartbeats that lie strictly after now (the
-          wake means per-step execution would never have run them gated),
-        * if a virtual heartbeat lands exactly now and per-step heap order
-          (tick, rid) would have fired it *after* the securing router, it
-          would have run in WAKEUP state — refire this tick to match,
-        * otherwise pull the next firing back to the earlier of "one
-          period from now" and the next virtual heartbeat.
-        """
-        cur = router.next_event_tick
-        now = self.now_tick
-        delta = cur - now
-        if delta <= 0:
-            # Pending fire this very tick pops after us and runs in
-            # WAKEUP state by itself; nothing was skipped past it.
-            return
-        hb = GATED_HEARTBEAT_TICKS
-        over = (delta - 1) // hb
-        if over:
-            router.total_off_cycles -= over
-            router.epoch_cycle -= over
-        if delta % hb == 0 and self._firing_rid < router.rid:
-            # Virtual heartbeat exactly now, ordered after the securing
-            # router: per-step it fires in WAKEUP state, not gated.
-            router.total_off_cycles -= 1
-            router.epoch_cycle -= 1
-            nxt = now
-        else:
-            nxt = now + router.cur_period
-            vnext = cur - over * hb
-            if vnext < nxt:
-                nxt = vnext
-        if nxt < cur:
-            router.next_event_tick = nxt
-            heapq.heappush(self._heap, (nxt, router.rid))
-
-    def _rollback_future_skips(
-        self, final_tick: int, drain_rid: int | None
-    ) -> None:
-        """Un-credit batch-skipped heartbeats the run ended before reaching.
-
-        :meth:`_heartbeat_skip` credits ``total_off_cycles`` and
-        ``epoch_cycle`` eagerly for future silent fires.  When the run
-        terminates mid-batch (drain or horizon), per-step execution would
-        never have run the fires scheduled past ``final_tick``, so the
-        credits must be returned — the end-of-run twin of
-        :meth:`_expedite`'s rollback on wake-up.
-
-        ``drain_rid`` is the router whose fire drained the network, or
-        ``None`` for a horizon/cap stop.  On a drain stop, a virtual
-        heartbeat landing exactly on the final tick only ran per-step if
-        its (tick, rid) heap entry popped before the draining fire.
-        """
-        hb = GATED_HEARTBEAT_TICKS
-        for router in self.network.routers:
-            if router.state is not _INACTIVE:
-                continue
-            delta = router.next_event_tick - final_tick
-            if delta <= 0:
-                continue
-            over = (delta - 1) // hb
-            if (
-                delta % hb == 0
-                and drain_rid is not None
-                and router.rid > drain_rid
-            ):
-                over += 1
-            if over:
-                router.total_off_cycles -= over
-                router.epoch_cycle -= over
-
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
@@ -472,35 +397,27 @@ class Simulator:
         heap = self._heap
         routers = self.network.routers
         horizon = self.horizon_tick
-        cap = self._cap_tick
-        timeline = self.timeline
-        fire = self._fire
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        base = BASE_TICKS_PER_NS
         final_tick = 0
         drained = False
-        drain_rid: int | None = None
 
         while heap:
-            tick, rid = heappop(heap)
+            tick, rid = heapq.heappop(heap)
             router = routers[rid]
             if tick != router.next_event_tick:
-                continue  # stale entry superseded by an expedited wakeup
+                continue  # stale entry superseded by a secure() wake-up
             if horizon is not None and tick > horizon:
                 final_tick = horizon
                 break
-            if tick > cap:
+            if tick > self._cap_tick:
                 final_tick = tick
                 break
             self.now_tick = tick
-            self.now_ns = tick / base
-            mult = fire(router, tick)
-            if timeline is not None:
-                timeline.maybe_sample(self)
-            nxt = tick + router.cur_period * mult
-            router.next_event_tick = nxt
-            heappush(heap, (nxt, router.rid))
+            self.now_ns = tick / BASE_TICKS_PER_NS
+            self._fire(router, tick)
+            if self.timeline is not None:
+                self.timeline.maybe_sample(self)
+            router.next_event_tick = tick + router.cur_period
+            heapq.heappush(heap, (router.next_event_tick, rid))
             final_tick = tick
             if (
                 horizon is None
@@ -508,15 +425,12 @@ class Simulator:
                 and self.entries_remaining == 0
             ):
                 drained = True
-                drain_rid = rid
                 break
 
         if horizon is not None:
             drained = self.packets_live == 0 and self.entries_remaining == 0
         self.now_tick = final_tick
         self.now_ns = final_tick / BASE_TICKS_PER_NS
-        if self._allow_skip and self._uses_gating:
-            self._rollback_future_skips(final_tick, drain_rid)
         self._flush_residency()
         if self.audit is not None:
             self.audit.on_end(self, drained)
@@ -538,25 +452,11 @@ class Simulator:
     # One router cycle
     # ------------------------------------------------------------------ #
 
-    def _fire(self, router: Router, tick: int) -> int:
-        """One router cycle; returns how many periods to advance.
-
-        The return value is 1 except when a gated router batch-skips
-        provably silent heartbeats (see :meth:`_heartbeat_skip`), in which
-        case it is ``1 + skipped``.
-        """
-        self._firing_rid = router.rid
-        # Inlined self.settle(router) — this is the hottest call site.
-        dt = tick - router.last_settle_tick
-        state = router.state
-        if dt > 0:
-            if state is _INACTIVE:
-                router.gated_ticks += dt
-            else:
-                router.mode_ticks[router.mode.index] += dt
-            router.last_settle_tick = tick
+    def _fire(self, router: Router, tick: int) -> None:
+        """One router cycle."""
+        self.settle(router)
         now_ns = self.now_ns
-        mult = 1
+        state = router.state
 
         if state is _INACTIVE:
             router.total_off_cycles += 1
@@ -565,23 +465,8 @@ class Simulator:
                 or router.arrivals
                 or router.inject_pending(now_ns)
             ):
-                router.begin_wakeup()
-                if self._faults is not None:
-                    self._apply_wakeup_faults(router)
-                self.accountant.add_wake_event(router.rid, router.mode)
-                if self._telemetry is not None:
-                    self._telemetry.on_wake_begin(router.rid, tick)
-                router.epoch_cycle += 1
-            else:
-                router.epoch_cycle += 1
-                if self._allow_skip:
-                    # Future heartbeats are no-ops until an injection comes
-                    # due (arrivals and secures cannot target a gated
-                    # router; a later secure() expedites us anyway).  Never
-                    # skip across the epoch boundary: it must fire live.
-                    cap = self.epoch_cycles - router.epoch_cycle - 1
-                    if cap > 0:
-                        mult += self._heartbeat_skip(router, tick, cap)
+                self._wake(router)
+            router.epoch_cycle += 1
         elif state is _WAKEUP:
             if router.wake_stuck:
                 # Degraded handshake: the wakeup is not progressing.  The
@@ -610,26 +495,17 @@ class Simulator:
                         )
             router.epoch_cycle += 1
         else:  # ACTIVE
-            bufs = router.in_buffers
             # 1. Commit transfers whose tail flit has landed.
-            arrivals = router.arrivals
-            if arrivals and arrivals[0][0] <= tick:
-                self._commit_arrivals(router, tick)
+            self._commit_arrivals(router, tick)
             # 2. Transport or switch-stall.
             if router.switch_stall > 0:
                 router.switch_stall -= 1
             else:
-                occupied = False
-                for buf in bufs:
-                    if buf.queue:
-                        occupied = True
-                        break
-                if occupied:
-                    used = self._eject(router, tick)
-                    self._forward(router, tick, used)
+                used = self._eject(router, tick)
+                self._forward(router, tick, used)
                 self._inject(router, tick, now_ns)
                 # 3. Power-gating bookkeeping (Fig 3a).
-                if self._uses_gating:
+                if self.policy.uses_gating:
                     if router.is_idle(now_ns, tick):
                         router.idle_count += 1
                         router.epoch_idle_cycles += 1
@@ -639,165 +515,118 @@ class Simulator:
                     else:
                         router.idle_count = 0
             # 4. Epoch accounting.
-            occ = 0
-            for buf in bufs:
-                occ += buf.occupancy
-            router.occ_sum += occ / router.capacity_total
+            router.occ_sum += router.occupancy_fraction()
             if router.track_ports:
-                depth = router.buffer_depth
-                sums = router.occ_port_sums
-                for p in range(self._num_ports):
-                    sums[p] += bufs[p].occupancy / depth
+                for port, buf in enumerate(router.in_buffers):
+                    router.occ_port_sums[port] += (
+                        buf.occupancy / router.buffer_depth
+                    )
             router.epoch_cycle += 1
 
         if router.epoch_cycle >= self.epoch_cycles:
             self._epoch_boundary(router)
-        return mult
-
-    def _heartbeat_skip(self, router: Router, tick: int, cap: int) -> int:
-        """How many upcoming heartbeat fires of a silent gated router can
-        be elided without changing any observable state.
-
-        A skipped fire would only have incremented ``total_off_cycles``
-        and ``epoch_cycle`` (done here in bulk), so skipping is exact as
-        long as no injection comes due at a skipped tick.  The fix-up
-        loops replicate :meth:`Router.inject_pending`'s float comparison
-        bit-for-bit, so the wake fires at precisely the per-step tick.
-        """
-        q = router.inject_queue
-        pos = router.inject_pos
-        if pos >= len(q):
-            k = cap
-        else:
-            t_next = q[pos][0]
-            base = BASE_TICKS_PER_NS
-            hb = GATED_HEARTBEAT_TICKS
-            k = int((t_next * base - tick) / hb)
-            if k > cap:
-                k = cap
-            elif k < 0:
-                k = 0
-            # Fire at tick + j*hb is silent iff t_next > (tick + j*hb)/base.
-            while k > 0 and t_next <= (tick + k * hb) / base:
-                k -= 1
-            while k < cap and t_next > (tick + (k + 1) * hb) / base:
-                k += 1
-        if k > 0:
-            router.total_off_cycles += k
-            router.epoch_cycle += k
-        return k
 
     def _commit_arrivals(self, router: Router, tick: int) -> None:
-        routers = self.network.routers
-        core_router = self.network.core_router
-        nbr_of = self._nbr_port[router.rid]
-        arrivals = router.arrivals
-        in_buffers = router.in_buffers
-        rid = router.rid
-        pop = heapq.heappop
-        unsecure = self.unsecure
-        secure = self.secure
-        route = self._route
-        while arrivals and arrivals[0][0] <= tick:
-            _, _, in_port, packet = pop(arrivals)
-            in_buffers[in_port].commit(packet)
-            unsecure(router)
-            out_port = route(rid, core_router[packet.dst_core])
-            packet.out_port = out_port
-            if out_port != LOCAL:
-                secure(routers[nbr_of[out_port]])
+        """Commit every transfer whose tail has landed by ``tick``.
+
+        Each commit releases the hold its packet placed on this router
+        and places one on the packet's next hop.
+        """
+        due = router.pop_due_arrival(tick)
+        while due is not None:
+            in_port, packet = due
+            router.in_buffers[in_port].commit(packet)
+            self.unsecure(router)
+            self._look_ahead(router, packet)
+            due = router.pop_due_arrival(tick)
+
+    def _look_ahead(self, router: Router, packet: Packet) -> None:
+        """Route a packet that just entered ``router`` and secure its next
+        hop (look-ahead routing, Section III.B)."""
+        net = self.network
+        packet.out_port = self._route(
+            router.rid, net.core_router[packet.dst_core]
+        )
+        if packet.out_port != LOCAL:
+            nbr = net.neighbor_port[router.rid][packet.out_port]
+            self.secure(net.routers[nbr])
 
     def _route(self, rid: int, dst_router: int) -> int:
         """Fabric routing: two list indexes into the precomputed table."""
-        return self._route_tab[rid][dst_router]
+        return self.network.route_port[rid][dst_router]
 
     def _eject(self, router: Router, tick: int) -> int:
         """Deliver one packet to the local NI; returns used-input bitmask."""
-        rr = router.rr
         if router.out_busy_until[LOCAL] > tick:
             return 0
-        bufs = router.in_buffers
-        period = router.cur_period
-        start = rr[LOCAL]
-        ports = self._num_ports
+        ports = router.num_ports
+        start = router.rr[LOCAL]
         for k in range(ports):
             ip = (start + k) % ports
-            queue = bufs[ip].queue
-            if not queue or queue[0].out_port != LOCAL:
+            buf = router.in_buffers[ip]
+            if not buf.queue or buf.queue[0].out_port != LOCAL:
                 continue
-            packet = bufs[ip].pop()
-            length = packet.length
-            done = tick + length * period
+            packet = buf.pop()
+            done = tick + packet.length * router.cur_period
             if self.wormhole:
                 # The tail may still be streaming in from upstream; the
                 # ejection port cannot finish before it lands.
-                done = max(done, packet.tail_tick + period)
+                done = max(done, packet.tail_tick + router.cur_period)
             router.out_busy_until[LOCAL] = done
             packet.eject_ns = done / BASE_TICKS_PER_NS
             packet.hops += 1
             self.stats.record_delivery(
-                packet.eject_ns - packet.inject_ns, length, packet.hops
+                packet.eject_ns - packet.inject_ns, packet.length, packet.hops
             )
             router.epoch_recvs += 1
-            self.accountant.add_hop(router.rid, router.mode.voltage, length)
+            self.accountant.add_hop(
+                router.rid, router.mode.voltage, packet.length
+            )
             self.packets_live -= 1
-            rr[LOCAL] = (ip + 1) % ports
+            router.rr[LOCAL] = (ip + 1) % ports
             return 1 << ip
         return 0
 
     def _forward(self, router: Router, tick: int, used: int) -> None:
         """Switch allocation for the fabric's directional outputs."""
-        routers = self.network.routers
-        bufs = router.in_buffers
-        busy = router.out_busy_until
-        rr = router.rr
-        rid = router.rid
-        mode = router.mode
+        net = self.network
+        ports = router.num_ports
         period = router.cur_period
-        voltage = mode.voltage
-        wormhole = self.wormhole
-        add_hop = self.accountant.add_hop
-        fault_links = self._fault_links
-        ports = self._num_ports
-        min_cells = self._min_cells
-        cell_cap = self._cell_cap
-        for port, nbr_id, opp in self._links[rid]:
-            if busy[port] > tick:
+        for port, nbr_id, opp in net.links[router.rid]:
+            if router.out_busy_until[port] > tick:
                 continue
-            nbr = routers[nbr_id]
-            mc_row = None if min_cells is None else min_cells[port]
-            start = rr[port]
+            nbr = net.routers[nbr_id]
+            start = router.rr[port]
             for k in range(ports):
                 ip = (start + k) % ports
                 if used >> ip & 1:
                     continue
-                queue = bufs[ip].queue
-                if not queue:
+                buf = router.in_buffers[ip]
+                if not buf.queue or buf.queue[0].out_port != port:
                     continue
-                packet = queue[0]
-                if packet.out_port != port:
-                    continue
+                packet = buf.queue[0]
                 # The downstream router gates this whole output: if it
-                # cannot receive, no other input can use the port either
-                # (inlined Router.can_receive).
-                if nbr.state is not _ACTIVE or nbr.switch_stall:
+                # cannot receive, no other input can use the port either.
+                if not nbr.can_receive:
                     break
                 nbuf = nbr.in_buffers[opp]
                 # Bubble flow control (torus/ring): a grant must leave the
-                # downstream buffer with at least ``mc_row[ip]`` free
+                # downstream buffer with at least ``min_cells`` free
                 # packet cells *before* this packet's cell is charged —
                 # 2 when entering a buffer ring, 1 when continuing along
                 # it.  A cells-blocked head does NOT block the output
                 # (``continue``, not ``break``): continuing traffic may
                 # still use the bubble that entering traffic must leave.
-                if mc_row is not None and cell_cap - nbuf.cells < mc_row[ip]:
+                if (
+                    net.min_cells is not None
+                    and net.cell_capacity - nbuf.cells
+                    < net.min_cells[port][ip]
+                ):
                     continue
                 length = packet.length
-                # Inlined InputBuffer.can_accept + reserve (the guard just
-                # performed is exactly reserve()'s over-reservation check).
-                if nbuf.capacity - nbuf.occupancy - nbuf.reserved < length:
+                if not nbuf.can_accept(length):
                     break
-                if fault_links:
+                if self._fault_links:
                     if self._faults.link_transfer_fails(packet.retries, length):
                         # Transfer corrupted in flight: the flits were
                         # serialized (link stays busy, energy is burned)
@@ -805,20 +634,21 @@ class Simulator:
                         # queued here and retries next grant.
                         packet.retries += 1
                         done = tick + length * period
-                        if wormhole:
+                        if self.wormhole:
                             done = max(done, packet.tail_tick + period)
-                        busy[port] = done
+                        router.out_busy_until[port] = done
                         self.stats.link_faults += 1
                         self.stats.flits_retransmitted += length
-                        self.accountant.add_retransmit(rid, voltage, length)
+                        self.accountant.add_retransmit(
+                            router.rid, router.mode.voltage, length
+                        )
                         break
                     packet.retries = 0
-                nbuf.reserved += length
-                nbuf.cells += 1
-                bufs[ip].pop()
+                nbuf.reserve(length)
+                buf.pop()
                 used |= 1 << ip
                 done = tick + length * period
-                if wormhole:
+                if self.wormhole:
                     # Wormhole pipelining: the head commits downstream after
                     # one flit time and may be granted onward immediately;
                     # the tail finishes streaming no earlier than one flit
@@ -828,48 +658,39 @@ class Simulator:
                     packet.tail_tick = done
                 else:
                     commit_tick = done
-                busy[port] = done
+                router.out_busy_until[port] = done
                 packet.hops += 1
                 self._arr_seq += 1
                 nbr.push_arrival(commit_tick, self._arr_seq, opp, packet)
-                add_hop(rid, voltage, length)
+                self.accountant.add_hop(router.rid, router.mode.voltage, length)
                 router.epoch_flits_out += length
                 if router.track_ports:
                     router.flits_out_port[port] += length
-                rr[port] = (ip + 1) % ports
+                router.rr[port] = (ip + 1) % ports
                 break
 
     def _inject(self, router: Router, tick: int, now_ns: float) -> None:
         """Admit at most one NI packet per cycle into the LOCAL buffer."""
-        q = router.inject_queue
-        pos = router.inject_pos
-        if pos >= len(q):
+        if not router.inject_pending(now_ns):
             return
-        t_ns, src, dst, kind = q[pos]
-        if t_ns > now_ns:
-            return
+        t_ns, src, dst, kind = router.inject_queue[router.inject_pos]
+        cfg = self.config
         length = (
-            self._req_flits if kind == KIND_REQUEST else self._resp_flits
+            cfg.request_flits if kind == KIND_REQUEST else cfg.response_flits
         )
         buf = router.in_buffers[LOCAL]
-        if buf.capacity - buf.occupancy - buf.reserved < length:
+        if not buf.can_accept(length):
             return
         packet = Packet(self._pid, src, dst, kind, length, t_ns)
         self._pid += 1
         if self.wormhole:
             # NI serialization: the tail enters the local buffer L cycles on.
             packet.tail_tick = tick + length * router.cur_period
-        # Inlined reserve-then-commit on the buffer we just space-checked.
-        buf.occupancy += length
-        buf.cells += 1
-        buf.queue.append(packet)
-        router.inject_pos = pos + 1
+        buf.reserve(length)
+        buf.commit(packet)
+        router.inject_pos += 1
         self.entries_remaining -= 1
-        dst_router = self.network.core_router[dst]
-        out_port = self._route(router.rid, dst_router)
-        packet.out_port = out_port
-        if out_port != LOCAL:
-            self.secure(self.network.routers[self._nbr_port[router.rid][out_port]])
+        self._look_ahead(router, packet)
         router.epoch_sends += 1
         self.stats.record_injection()
         self.packets_live += 1

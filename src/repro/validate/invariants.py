@@ -1,9 +1,10 @@
 """Machine-checkable conservation laws for the simulation kernel.
 
-The simulator's bookkeeping is heavily optimized (inlined settles, batched
-heartbeat skipping, reservation counters maintained incrementally), which
-means a kernel bug can corrupt results *silently*: counters drift, energy
-residency leaks, and the run still produces plausible-looking numbers.
+The array kernel's bookkeeping is heavily optimized (inlined settles,
+lazily folded span credits, reservation counters maintained
+incrementally), which means a kernel bug can corrupt results
+*silently*: counters drift, energy residency leaks, and the run still
+produces plausible-looking numbers.
 :class:`InvariantAuditor` recomputes the ground truth from first
 principles at every epoch boundary and at end-of-run and raises
 :class:`~repro.common.errors.AuditError` on any divergence:
@@ -33,8 +34,8 @@ principles at every epoch boundary and at end-of-run and raises
   gated + per-mode tick residency tiles the run exactly, and the energy
   accountant's wall-clock view agrees,
 * **epoch-cycle bounds** — per-router epoch counters stay inside
-  ``[0, epoch_cycles)`` even through heartbeat batch-skip credits and
-  expedite rollbacks,
+  ``[0, epoch_cycles)`` even through span credits (gated heartbeats
+  included) and their wake-up and end-of-run rollbacks,
 * **monotone fire ticks** — simulated time never runs backwards and no
   router's next firing is scheduled in the past,
 * **ring bubble** — on bubble fabrics (torus, ring: see

@@ -3,7 +3,7 @@
 The array backend (:mod:`repro.noc.array_sim`) is a pure performance
 refactor — structure-of-arrays state plus a gated-epoch span fast path —
 and its contract is **exact** equality with the object kernel, not
-approximate agreement (see ``docs/backends.md``).  Three layers enforce
+approximate agreement (see ``docs/backends.md``).  Four layers enforce
 it here:
 
 1. every committed golden fingerprint, re-run with ``backend="object"``
@@ -14,10 +14,13 @@ it here:
    fault-injection and online-learning legs,
 3. hypothesis-driven random small configs, where the *shape* of the
    config (topology, flit sizes, buffer depth, epoch length, switching)
-   is the fuzzed surface.
+   is the fuzzed surface,
+4. the collected training features and labels of every feature set the
+   experiments use, against per-step execution.
 
-Divergence in any summary field is a bug in the array kernel by
-definition — the object kernel is the reference semantics.
+Divergence in any summary field or captured feature is a bug in the
+array kernel by definition — the object kernel is the reference
+semantics.
 """
 
 from __future__ import annotations
@@ -33,6 +36,12 @@ from hypothesis import strategies as st
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
+from repro.core.features import (
+    FULL_FEATURES,
+    REDUCED_FEATURES,
+    SINGLE_FEATURE_CANDIDATES,
+    single_feature_set,
+)
 from repro.experiments.runner import MODEL_NAMES, ModelMetrics
 from repro.noc.array_sim import ArraySimulator
 from repro.noc.simulator import Simulator, run_simulation
@@ -164,6 +173,91 @@ def test_hypothesis_configs_equivalent(
         weights = rng.normal(0.0, 0.3, size=5)
     ref, got = _run_both(config, trace, policy, weights=weights)
     _assert_equal(ref, got, f"hypothesis {policy}/{bench}")
+
+
+# --------------------------------------------------------------------- #
+# Layer 4: collected training features, not just summaries
+# --------------------------------------------------------------------- #
+
+class _PerStep:
+    """No-op timeline sampler: a run it observes elides no cycle."""
+
+    def maybe_sample(self, sim) -> None:
+        return None
+
+
+_FEATURE_SETS = {
+    "reduced-5": REDUCED_FEATURES,
+    "full-41": FULL_FEATURES,
+    **{
+        f"single-{name}": single_feature_set(name)
+        for name in SINGLE_FEATURE_CANDIDATES
+    },
+}
+_EPOCH_CFG = SimConfig(topology="mesh", radix=4, epoch_cycles=150)
+_EPOCH_TRACE = generate_benchmark_trace(
+    "bodytrack", num_cores=16, duration_ns=2500.0
+)
+
+
+def _epoch_records(sim_cls, policy, timeline=None):
+    sim = sim_cls(
+        _EPOCH_CFG, _EPOCH_TRACE, policy, collect_features=True,
+        timeline=timeline,
+    )
+    result = sim.run()
+    return result, result.stats.epoch_records
+
+
+def _assert_same_records(fs, ref, got):
+    """Features and labels of every epoch record, NaN-aware and exact."""
+    assert [(r.router, r.epoch) for r in got] == [
+        (r.router, r.epoch) for r in ref
+    ]
+    x_ref = np.array([r.features for r in ref])
+    x_got = np.array([r.features for r in got])
+    same = (x_ref == x_got) | (np.isnan(x_ref) & np.isnan(x_got))
+    bad = sorted({fs.names[col] for _, col in np.argwhere(~same)})
+    assert same.all(), (
+        f"{int((~same).sum())} feature cells differ from per-step "
+        f"execution, in {bad}"
+    )
+    y_ref = np.array([r.label for r in ref])
+    y_got = np.array([r.label for r in got])
+    assert np.array_equal(y_ref, y_got, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "policy_name,proactive",
+    [("pg", False), ("dozznoc", False), ("dozznoc", True)],
+    ids=["pg-reactive", "dozznoc-reactive", "dozznoc-proactive"],
+)
+@pytest.mark.parametrize("fs_name", sorted(_FEATURE_SETS))
+def test_collected_features_match_per_step(fs_name, policy_name, proactive):
+    """The array kernel's training capture equals per-step execution.
+
+    The reference leg is the object kernel under a no-op timeline
+    sampler, so it fires every router cycle.  Summaries alone cannot
+    catch a feature that reads another router's lazily credited state
+    mid-epoch: only the captured vectors show it.  Pinned regression
+    (``full-41-pg-reactive``): ``neighbor_ibu_*`` reads a neighbour's
+    ``current_ibu()`` mid-epoch, and crediting a gated neighbour's
+    ``epoch_cycle`` ahead of its elided heartbeats skewed 149 cells of
+    this capture on both kernels alike, with identical summaries.
+    """
+    fs = _FEATURE_SETS[fs_name]
+    weights = None
+    if proactive:
+        weights = np.random.default_rng(5).normal(0.0, 0.3, size=len(fs))
+    ref, ref_rows = _epoch_records(
+        Simulator, make_policy(policy_name, weights, fs), _PerStep()
+    )
+    got, got_rows = _epoch_records(
+        ArraySimulator, make_policy(policy_name, weights, fs)
+    )
+    assert ref.accountant.gated_time_ns.sum() > 0  # elision had work
+    assert got.summary() == ref.summary()
+    _assert_same_records(fs, ref_rows, got_rows)
 
 
 # --------------------------------------------------------------------- #

@@ -16,14 +16,13 @@ class TestReserveCommitPop:
     def test_initial_state(self):
         buf = InputBuffer(8)
         assert buf.free == 8
-        assert buf.is_empty
-        assert buf.head() is None
+        assert len(buf) == 0
 
     def test_reserve_reduces_free(self):
         buf = InputBuffer(8)
         buf.reserve(5)
         assert buf.free == 3
-        assert buf.is_empty  # reserved, not resident
+        assert len(buf) == 0  # reserved, not resident
 
     def test_commit_moves_reservation_to_occupancy(self):
         buf = InputBuffer(8)
@@ -32,7 +31,7 @@ class TestReserveCommitPop:
         buf.commit(p)
         assert buf.occupancy == 5
         assert buf.reserved == 0
-        assert buf.head() is p
+        assert buf.queue[0] is p
 
     def test_fifo_order(self):
         buf = InputBuffer(8)
@@ -50,7 +49,7 @@ class TestReserveCommitPop:
         buf.commit(p)
         buf.pop()
         assert buf.free == 8
-        assert buf.is_empty
+        assert len(buf) == 0
 
     def test_over_reservation_rejected(self):
         buf = InputBuffer(4)
@@ -106,7 +105,7 @@ class TestBufferInvariants:
                     buf.commit(pkt(next_pid, length))
                     next_pid += 1
             else:
-                if not buf.is_empty:
+                if len(buf):
                     buf.pop()
             assert 0 <= buf.occupancy + buf.reserved <= buf.capacity
             assert buf.occupancy == sum(p.length for p in buf.queue)

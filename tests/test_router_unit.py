@@ -167,4 +167,3 @@ class TestArrivalQueue:
         assert router.inject_pending(10.0)
         router.inject_pos = 2
         assert not router.inject_pending(100.0)
-        assert not router.has_future_injections()

@@ -1,8 +1,8 @@
-"""The kernel's inlined XY route must agree with the reference router.
+"""The kernel's route-table lookup must agree with the reference router.
 
-``Simulator._route`` is a hand-inlined hot-path copy of
-:func:`repro.noc.routing.xy_output_port`; this pins them together so an
-optimization pass on either side cannot silently diverge them.
+``Simulator._route`` reads the fabric's precomputed route table instead
+of calling :func:`repro.noc.routing.xy_output_port`; this pins them
+together so a change on either side cannot silently diverge them.
 """
 
 import pytest

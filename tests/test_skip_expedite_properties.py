@@ -1,36 +1,32 @@
-"""Batched heartbeat skipping must be invisible.
+"""Gated-heartbeat elision must be invisible.
 
-The kernel elides heartbeats of gated routers (``_heartbeat_skip``) and
-rolls the elided credits back when a router is expedited mid-batch
-(``_expedite``).  The optimization's contract is *exactness*: a run with
-skipping enabled is bit-identical — summary metrics, per-router off-cycle
-counters, energy residency — to the same run executed one heartbeat at a
-time.  These property tests force the per-step path with a no-op timeline
-sampler (``_allow_skip`` is only true when ``timeline is None``) and
-compare against the skipping path across random gated-traffic workloads,
-with invariant audits on for both runs.
+The array kernel elides the silent heartbeats of gated routers as
+``GATED`` spans, folds their credits lazily, and rolls back the elided
+heartbeats a wake-up (``secure()``) or the end of the run cuts off.  The
+contract is *exactness*: a run with elision is bit-identical — summary
+metrics, per-router off-cycle counters, energy residency — to the same
+run on the object kernel, the per-step reference that fires every
+heartbeat.  These property tests compare the two across random
+gated-traffic workloads, with invariant audits on for both runs.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.config import SimConfig
 from repro.core.controller import make_policy
+from repro.noc import array_sim
+from repro.noc.array_sim import ArraySimulator
 from repro.noc.simulator import Simulator
 from repro.traffic.trace import KIND_REQUEST, KIND_RESPONSE, Trace
 from repro.validate import InvariantAuditor
 
 
-class _ForcePerStep:
-    """Timeline stand-in whose only effect is disabling heartbeat skip."""
-
-    def maybe_sample(self, sim) -> None:
-        return None
-
-
-# Small epochs and idle-heavy traffic so gating (and thus skipping,
-# expediting, and epoch-boundary interactions) actually happens.
+# Small epochs and idle-heavy traffic so gating (and thus GATED spans,
+# wake-up interrupts, and epoch-boundary interactions) actually happens.
 CFG = SimConfig(topology="mesh", radix=3, concentration=1, epoch_cycles=40,
                 t_idle=2)
 
@@ -56,15 +52,11 @@ def gappy_traffic(draw):
     return entries, policy
 
 
-def _run(entries, policy, skip: bool):
+def _run(entries, policy, skip: bool, cfg=CFG):
+    """Run on the array kernel (``skip``) or the per-step reference."""
     trace = Trace.from_entries(entries, 9, "skipprop")
-    sim = Simulator(
-        CFG,
-        trace,
-        make_policy(policy),
-        timeline=None if skip else _ForcePerStep(),
-        audit=InvariantAuditor(),
-    )
+    sim_cls = ArraySimulator if skip else Simulator
+    sim = sim_cls(cfg, trace, make_policy(policy), audit=InvariantAuditor())
     result = sim.run()
     return sim, result
 
@@ -80,7 +72,7 @@ class TestSkipExactness:
         entries, policy = data
         sim_on, res_on = _run(entries, policy, skip=True)
         sim_off, res_off = _run(entries, policy, skip=False)
-        assert sim_on._allow_skip and not sim_off._allow_skip
+        assert sim_on._span_ok and type(sim_off) is Simulator
 
         assert res_on.summary() == res_off.summary()
         assert res_on.drained == res_off.drained
@@ -88,8 +80,8 @@ class TestSkipExactness:
 
         for r_on, r_off in zip(sim_on.network.routers,
                                sim_off.network.routers):
-            # _expedite must roll back exactly the heartbeats that were
-            # credited but never elided; any off-by-one shows up here.
+            # A wake-up must keep exactly the heartbeats elided before it;
+            # any off-by-one in the interrupt tie-break shows up here.
             assert r_on.total_off_cycles == r_off.total_off_cycles
             assert r_on.gated_ticks == r_off.gated_ticks
             assert list(r_on.mode_ticks) == list(r_off.mode_ticks)
@@ -99,8 +91,8 @@ class TestSkipExactness:
         assert (acc_on.gated_time_ns == acc_off.gated_time_ns).all()
         assert (acc_on.powered_time_ns == acc_off.powered_time_ns).all()
 
-        # Both legs were fully audited, and skipping actually happened on
-        # at least some runs (sanity that the test exercises the path).
+        # Both legs were fully audited (that elision happens at all is
+        # test_gating_and_skipping_actually_occur's job).
         assert sim_on.audit.end_audits == 1
         assert sim_off.audit.end_audits == 1
 
@@ -114,15 +106,9 @@ class TestSkipExactness:
         # Horizon runs stop mid-flight — the skip bookkeeping must agree
         # even when the run is truncated at an arbitrary point.
         entries, policy = data
-        cfg = SimConfig(topology="mesh", radix=3, concentration=1,
-                        epoch_cycles=40, t_idle=2, horizon_ns=horizon)
-        trace = Trace.from_entries(entries, 9, "skipprop-h")
-        runs = []
-        for timeline in (None, _ForcePerStep()):
-            sim = Simulator(cfg, trace, make_policy(policy),
-                            timeline=timeline, audit=True)
-            runs.append((sim, sim.run()))
-        (sim_on, res_on), (sim_off, res_off) = runs
+        cfg = CFG.with_(horizon_ns=horizon)
+        sim_on, res_on = _run(entries, policy, skip=True, cfg=cfg)
+        sim_off, res_off = _run(entries, policy, skip=False, cfg=cfg)
         assert res_on.summary() == res_off.summary()
         for r_on, r_off in zip(sim_on.network.routers,
                                sim_off.network.routers):
@@ -134,9 +120,23 @@ class TestSkipExactness:
 def test_gating_and_skipping_actually_occur():
     """Guard against the property tests silently testing nothing."""
     entries = [(0, 8, KIND_REQUEST, 50.0), (8, 0, KIND_RESPONSE, 700.0)]
-    sim, res = _run(entries, "pg", skip=True)
+    placed = []
+    gated_span = ArraySimulator._gated_span
+
+    def spy(self, router, tick):
+        k = gated_span(self, router, tick)
+        if k:
+            placed.append(self._span_kind[router.rid])
+        return k
+
+    with mock.patch.object(ArraySimulator, "_gated_span", spy):
+        sim, res = _run(entries, "pg", skip=True)
     assert res.drained
     assert any(r.total_off_cycles > 0 for r in sim.network.routers)
-    # Elided heartbeats: fires are far fewer than gated cycles would need.
-    total_off = sum(r.total_off_cycles for r in sim.network.routers)
-    assert total_off > 0
+    # Gated heartbeats really were elided, as GATED spans.
+    assert placed and set(placed) == {array_sim._SPAN_GATED}
+    ref, ref_res = _run(entries, "pg", skip=False)
+    assert res.summary() == ref_res.summary()
+    assert [r.total_off_cycles for r in sim.network.routers] == [
+        r.total_off_cycles for r in ref.network.routers
+    ]
